@@ -8,17 +8,25 @@ Two diagrams get the same key exactly when they agree after
 
 Nothing else is quotiented; in particular Reidemeister-equivalent
 diagrams keep distinct keys.  The key doubles as the dedup identity for
-search, so besides the key itself `canonicalize` records the normalizing
-isomorphism (component permutation, per-component rotation, id
-relabeling), which lets references be transported between diagrams
-sharing a key.
+search, which keys every child through `key_and_order`: besides the key
+it returns the winning component order, all the sliceness search needs
+to carry its surface-piece partition into canonical order.
+`canonicalize` adds the normal form and the normalizing isomorphism
+(component permutation, per-component rotation, id relabeling), which
+lets references be transported between diagrams sharing a key.
+
+Only the public `canonical_key` is cached.  The certificates layer asks
+it for the same diagrams again and again while it validates and
+translates a move sequence; the searches key their children through the
+uncached `key_and_order` instead, since almost none of them is ever
+looked up twice and a cache would only pin them in memory.
 
 The minimum is taken over label-free encodings of (component order,
 rotation) candidates.  Every encoding starts each component with the
 negated length, so only orders sorted by descending length can win;
 permutations are enumerated within equal-length groups only, and
 encoding aborts as soon as a candidate exceeds the incumbent best
-(search canonicalizes every child diagram, so this path is hot).
+(search keys every child diagram, so this path is hot).
 """
 
 from __future__ import annotations
@@ -44,9 +52,6 @@ class Iso:
     rotations: tuple[int, ...]
     id_map: tuple[tuple[int, int], ...]
 
-    def map_id(self, cid: int) -> int:
-        return dict(self.id_map)[cid]
-
 
 @dataclass(frozen=True)
 class CanonicalResult:
@@ -57,14 +62,19 @@ class CanonicalResult:
 
 @lru_cache(maxsize=1 << 18)
 def canonical_key(d: GaussDiagram) -> str:
-    order, rots = _best_candidate(d)
-    return _render_candidate(d, order, rots)
+    return key_and_order(d)[0]
 
 
-@lru_cache(maxsize=1 << 14)
+def key_and_order(d: GaussDiagram) -> tuple[str, tuple[int, ...]]:
+    """Canonical key plus the winning component order: order[i] is the
+    source index of canonical component i."""
+    order, _, code = _best_candidate(d)
+    return _render_code(code, d.long), order
+
+
 def canonicalize(d: GaussDiagram) -> CanonicalResult:
     """Canonical key plus the normal form and normalizing iso."""
-    order, rots = _best_candidate(d)
+    order, rots, code = _best_candidate(d)
 
     n = len(d.components)
     comp_perm = [0] * n
@@ -82,7 +92,7 @@ def canonicalize(d: GaussDiagram) -> CanonicalResult:
     normal, id_map = relabel_first_appearance(permuted)
 
     iso = Iso(tuple(comp_perm), tuple(rotations), tuple(sorted(id_map.items())))
-    return CanonicalResult(_render_candidate(d, order, rots), normal, iso)
+    return CanonicalResult(_render_code(code, d.long), normal, iso)
 
 
 def _candidate_orders(d: GaussDiagram):
@@ -138,8 +148,8 @@ def _lead_rotations(seq, sign) -> tuple[int, ...]:
     return tuple(rots)
 
 
-@lru_cache(maxsize=1 << 16)
-def _best_candidate(d: GaussDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _best_candidate(d: GaussDiagram) -> tuple[tuple[int, ...], tuple[int, ...], list]:
+    """The winning (component order, rotations) and its encoding."""
     best_code: list | None = None
     best_order: tuple[int, ...] = ()
     best_rots: tuple[int, ...] = ()
@@ -159,82 +169,68 @@ def _best_candidate(d: GaussDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
             code = _encode_abort(d, order, rots, best_code)
             if code is not None:
                 best_code, best_order, best_rots = code, tuple(order), rots
-    return best_order, best_rots
+    return best_order, best_rots, best_code
 
 
 def _encode_abort(d: GaussDiagram, order, rots, best) -> list | None:
     """Label-free encoding of one candidate; None once it provably
     compares greater-or-equal to `best`.
 
-    All candidates of one diagram encode to the same length, so a
+    Each component encodes as its negated length followed by one
+    (first-appearance id, role, sign) triple per endpoint.  All
+    candidates of one diagram encode to the same length, so a
     non-strictly-smaller candidate can be dropped as soon as it matches
     or exceeds the incumbent prefix.
     """
     sign = d._sign_map
     id_map: dict[int, int] = {}
     out: list[int] = []
-    pos = 0
     better = best is None
     for i, r in zip(order, rots):
         seq = d.components[i]
         k = len(seq)
-        for step in range(-1, 3 * k):
-            if step == -1:
-                v = -k
-            else:
-                cid, role = seq[(r + step // 3) % k]
-                which = step % 3
-                if which == 0:
-                    new = id_map.get(cid)
-                    if new is None:
-                        new = len(id_map) + 1
-                        id_map[cid] = new
-                    v = new
-                elif which == 1:
-                    v = role
-                else:
-                    v = sign[cid]
+        if not better:
+            bv = best[len(out)]
+            if -k > bv:
+                return None
+            better = -k < bv
+        out.append(-k)
+        for cid, role in seq[r:] + seq[:r]:
+            new = id_map.get(cid)
+            if new is None:
+                new = id_map[cid] = len(id_map) + 1
+            triple = [new, role, sign[cid]]
             if not better:
-                bv = best[pos]
-                if v > bv:
+                incumbent = best[len(out) : len(out) + 3]
+                if triple > incumbent:
                     return None
-                if v < bv:
-                    better = True
-            out.append(v)
-            pos += 1
+                better = triple < incumbent
+            out += triple
     return out if better else None
 
 
-def _render_candidate(d: GaussDiagram, order, rots) -> str:
-    """Canonical key string: the Gauss code of the winning candidate,
-    relabeled by first appearance (identical to rendering the normal
-    form)."""
-    sign = d._sign_map
-    id_map: dict[int, int] = {}
+def _render_code(code: list, long: bool) -> str:
+    """Canonical key string of a winning encoding: its Gauss code with
+    crossings numbered by first appearance (identical to rendering the
+    normal form)."""
     parts = []
-    for i, r in zip(order, rots):
-        seq = d.components[i]
-        if not seq:
-            parts.append("()")
-            continue
-        seq = seq[r:] + seq[:r]
-        toks = []
-        for cid, role in seq:
-            new = id_map.get(cid)
-            if new is None:
-                new = len(id_map) + 1
-                id_map[cid] = new
-            toks.append(
-                ("O" if role == OVER else "U")
-                + str(new)
-                + ("+" if sign[cid] > 0 else "-")
+    pos = 0
+    while pos < len(code):
+        k = -code[pos]
+        end = pos + 1 + 3 * k
+        parts.append(
+            "".join(
+                ("O" if code[j + 1] == OVER else "U")
+                + str(code[j])
+                + ("+" if code[j + 2] > 0 else "-")
+                for j in range(pos + 1, end, 3)
             )
-        parts.append("".join(toks))
+            or "()"
+        )
+        pos = end
     body = ";".join(parts)
-    if d.long:
-        if len(d.components) == 1 and not d.components[0]:
-            return "L:"
-        return "L:" + body
+    if long:
+        return "L:" if body == "()" else "L:" + body
     return body
 
 
@@ -262,9 +258,3 @@ def unmap_arc(iso: Iso, d: GaussDiagram, new_comp: int, new_arc: int) -> tuple[i
         return comp, 0
     return comp, (new_arc + iso.rotations[comp]) % k
 
-
-def unmap_id(iso: Iso, new_id: int) -> int:
-    for cid, mapped in iso.id_map:
-        if mapped == new_id:
-            return cid
-    raise KeyError(new_id)

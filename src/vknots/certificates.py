@@ -118,9 +118,11 @@ def parse_certificate(text: str) -> CobordismCertificate:
 
 
 def render_certificate(c: CobordismCertificate) -> str:
-    lines = [f"start: {render_gauss(c.start)}"]
+    # The moves name the start's crossing ids, and the ids the replay
+    # mints from them, so the ends keep their own labels.
+    lines = [f"start: {render_gauss(c.start, relabel=False)}"]
     lines += [render_move(m) for m in c.steps]
-    lines.append(f"end: {render_gauss(c.end)}")
+    lines.append(f"end: {render_gauss(c.end, relabel=False)}")
     return "\n".join(lines) + "\n"
 
 

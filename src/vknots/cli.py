@@ -43,6 +43,10 @@ EXIT_INVALID_CERT = 2
 EXIT_USAGE = 3
 
 
+class UsageError(Exception):
+    """A bad argument that argparse's own checks let through."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2
         self.print_usage(sys.stderr)
@@ -63,16 +67,19 @@ def _add_budget_flags(p: argparse.ArgumentParser, cobordism: bool) -> None:
 
 
 def _budget(args, cobordism: bool) -> SearchBudget:
-    return SearchBudget(
-        max_crossings=args.max_crossings,
-        max_components=args.max_components,
-        max_saddles=getattr(args, "max_saddles", 0),
-        max_births=getattr(args, "max_births", 0),
-        max_deaths=getattr(args, "max_deaths", 0),
-        max_nodes=args.max_nodes,
-        max_depth=args.max_depth,
-        workers=args.workers,
-    )
+    try:
+        return SearchBudget(
+            max_crossings=args.max_crossings,
+            max_components=args.max_components,
+            max_saddles=getattr(args, "max_saddles", 0),
+            max_births=getattr(args, "max_births", 0),
+            max_deaths=getattr(args, "max_deaths", 0),
+            max_nodes=args.max_nodes,
+            max_depth=args.max_depth,
+            workers=args.workers,
+        )
+    except ValueError as err:
+        raise UsageError(f"bad budget: {err}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,7 +152,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (DiagramError, MoveError, CertificateError, OSError) as err:
+    except (DiagramError, MoveError, CertificateError, UsageError, OSError) as err:
         print(f"vknots: error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -269,8 +276,11 @@ def _demo_kishino(claim: str) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
 
 OVER = 0
 UNDER = 1
@@ -29,16 +28,6 @@ Endpoint = tuple[int, int]  # (crossing id, role)
 
 class DiagramError(ValueError):
     """Malformed Gauss code or broken diagram invariant."""
-
-
-@dataclass(frozen=True)
-class CrossingRecord:
-    """One classical crossing: sign plus the locations of its two passages."""
-
-    id: int
-    sign: int
-    over_endpoint: tuple[int, int]  # (component index, position index)
-    under_endpoint: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -78,21 +67,6 @@ class GaussDiagram:
         if not self.long:
             raise DiagramError("round diagram has no open strand")
         return self.components[0]
-
-    def crossings(self) -> tuple[CrossingRecord, ...]:
-        """Per-crossing records with endpoint back-references."""
-        over: dict[int, tuple[int, int]] = {}
-        under: dict[int, tuple[int, int]] = {}
-        for c, comp in enumerate(self.components):
-            for p, (cid, role) in enumerate(comp):
-                (over if role == OVER else under)[cid] = (c, p)
-        return tuple(
-            CrossingRecord(cid, self._sign_map[cid], over[cid], under[cid])
-            for cid in sorted(self._sign_map)
-        )
-
-    def endpoint_count(self, comp: int) -> int:
-        return len(self.components[comp])
 
     def arc_count(self, comp: int) -> int:
         """Number of arcs of a component.
@@ -226,23 +200,29 @@ def _parse_component(part: str, signs: dict[int, int]) -> tuple[Endpoint, ...]:
     return tuple(endpoints)
 
 
-def render_gauss(d: GaussDiagram) -> str:
-    """Render a diagram, renumbering crossings by first appearance."""
-    relabeled, _ = relabel_first_appearance(d)
+def render_gauss(d: GaussDiagram, relabel: bool = True) -> str:
+    """Render a diagram, renumbering crossings by first appearance.
+
+    With relabel=False the diagram's own crossing ids are written, so
+    that text naming those ids (a certificate's moves) still applies to
+    the parsed result.
+    """
+    if relabel:
+        d, _ = relabel_first_appearance(d)
     parts = []
-    for comp in relabeled.components:
+    for comp in d.components:
         if not comp:
             parts.append("()")
         else:
             parts.append(
                 "".join(
-                    f"{_ROLE_CHAR[role]}{cid}{_SIGN_CHAR[relabeled.sign_of(cid)]}"
+                    f"{_ROLE_CHAR[role]}{cid}{_SIGN_CHAR[d.sign_of(cid)]}"
                     for cid, role in comp
                 )
             )
     body = ";".join(parts)
     if d.long:
-        if relabeled.components == ((),):
+        if d.components == ((),):
             return "L:"
         return "L:" + body
     return body
@@ -358,43 +338,3 @@ def diagram_stats(d: GaussDiagram) -> tuple[int, int, int]:
     """(crossing count, component count, writhe)."""
     return d.n_crossings, d.n_components, d.writhe
 
-
-# -- forgetful image -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlatDiagram:
-    """Chord pairing with signs and over/under roles forgotten.
-
-    Chords are numbered by first appearance, so two flat diagrams compare
-    equal exactly when their pairing structure and component shape agree.
-    Used as a fast non-equality prefilter: diagrams with different flat
-    images are certainly different.
-    """
-
-    components: tuple[tuple[int, ...], ...]
-    long: bool = False
-
-    def reversed(self) -> FlatDiagram:
-        comps = [tuple(reversed(comp)) for comp in self.components]
-        return _renumber_flat(comps, self.long)
-
-
-def _renumber_flat(components, long: bool) -> FlatDiagram:
-    id_map: dict[int, int] = {}
-    out = []
-    for comp in components:
-        row = []
-        for cid in comp:
-            if cid not in id_map:
-                id_map[cid] = len(id_map) + 1
-            row.append(id_map[cid])
-        out.append(tuple(row))
-    return FlatDiagram(tuple(out), long)
-
-
-def flatten(d: GaussDiagram) -> FlatDiagram:
-    """Forget signs and roles, keeping chord pairing and component shape."""
-    return _renumber_flat(
-        [[cid for cid, _ in comp] for comp in d.components], d.long
-    )

@@ -1,10 +1,10 @@
 """Budgeted certificate search over the move calculus.
 
-Three searches share one engine: sliceness (find a cobordism path from a
-knot to the unknot satisfying saddles = births + deaths), pairwise
-equivalence (Reidemeister moves only, meeting in the middle from both
-ends), and crossing reduction (Reidemeister moves only, tracking the
-best diagram seen).
+Three best-first searches share the budget, dedup and expansion
+helpers: sliceness (find a cobordism path from a knot to the unknot
+satisfying saddles = births + deaths), pairwise equivalence (Reidemeister
+moves only, meeting in the middle from both ends), and crossing
+reduction (Reidemeister moves only, tracking the best diagram seen).
 
 The state space is infinite, so every search runs under a SearchBudget
 capping crossings, components, cobordism-move counts, depth, and
@@ -15,6 +15,15 @@ frontier than max_nodes could ever expand, the run can no longer end in
 "exhausted" and stops rather than spend the rest of the allowance (a
 certificate the forfeited expansions might have produced needs a larger
 budget to be reported).
+
+Every child is keyed exactly once, through the uncached
+`key_and_order`, so no search fills the module-level `canonical_key`
+cache; only roots, goals and the translation of a found certificate go
+through it.  In the sliceness search a state *is* its canonical key:
+the frontier and the parent pointers hold keys, and a diagram is parsed
+back from its key only when the state is popped for expansion (most
+admitted states never are) or lies on the chain a found certificate is
+rebuilt from.
 
 States are deduplicated on (canonical key, spent cobordism counters,
 depth) with dominance: a state is skipped when an already-visited state
@@ -42,13 +51,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .canonical import canonical_key, canonicalize
-from .certificates import (
-    CobordismCertificate,
-    _translate_steps,
-    advance_classes,
-    initial_classes,
-)
+from .canonical import canonical_key, key_and_order
+from .canonical import canonicalize  # noqa: F401  (bench/tracer.py wraps it)
+from .certificates import CobordismCertificate, _translate_steps, advance_classes
 from .diagram import DiagramError, GaussDiagram, parse_gauss
 from .moves import (
     COBORDISM_KINDS,
@@ -162,16 +167,6 @@ def _expand(state) -> list[tuple[Move, GaussDiagram]]:
     return out
 
 
-def _canon_classes(classes: tuple[int, ...], comp_perm) -> tuple[int, ...]:
-    """Re-express a surface-piece partition in canonical component order,
-    relabeled by first appearance so it is isomorphism-invariant."""
-    ordered = [0] * len(classes)
-    for i, cls in enumerate(classes):
-        ordered[comp_perm[i]] = cls
-    relabel: dict[int, int] = {}
-    return tuple(relabel.setdefault(c, len(relabel)) for c in ordered)
-
-
 def _partition_tag(classes: tuple[int, ...]) -> str:
     """Dedup suffix for a nontrivial canonical partition."""
     if len(set(classes)) <= 1:
@@ -185,10 +180,11 @@ def _partition_tag(classes: tuple[int, ...]) -> str:
 def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
     """Search for a concordance from a round knot to the unknot.
 
-    The frontier holds canonical keys, not diagrams or paths: states are
-    expanded from the (interned) canonical form and reconstructed through
-    parent pointers, and a found path is translated back onto the input
-    diagram's own replay line, which keeps memory per state small."""
+    The frontier holds canonical keys, not diagrams or paths: a state's
+    diagram is parsed from its key when the state is popped for
+    expansion, paths are reconstructed through parent pointers, and a
+    found path is translated back onto the input diagram's own replay
+    line, which keeps memory per state small."""
     if d.long:
         raise DiagramError("search_slice needs a round diagram")
     if d.n_components != 1:
@@ -206,8 +202,6 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
     if root_key == goal_key:
         return done("found", CobordismCertificate(d, (), parse_gauss("()")), 0, 0)
 
-    # canonical keys parse back to the canonical normal form
-    intern: dict[str, GaussDiagram] = {root_key: parse_gauss(root_key)}
     parents: dict[int, tuple[int, Move, str]] = {}  # seq -> (parent, move, key)
 
     def certificate(final_seq: int, last_move: Move) -> CobordismCertificate:
@@ -218,13 +212,11 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
             chain.append((move, key))
             sq = parent
         chain.reverse()
-        refs = [intern[root_key]]
-        steps = []
-        for move, key in chain:
-            steps.append(move)
-            refs.append(parse_gauss(key) if key == goal_key else intern[key])
+        # canonical keys parse back to the canonical normal form
+        refs = [parse_gauss(root_key)] + [parse_gauss(key) for _, key in chain]
+        steps = tuple(move for move, _ in chain)
         translated = _translate_steps(
-            refs, tuple(steps), d, image=lambda x: x, comp_map={},
+            refs, steps, d, image=lambda x: x, comp_map={},
             shift_strand_arcs=False,
         )
         return CobordismCertificate(d, tuple(translated), parse_gauss("()"))
@@ -263,15 +255,16 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
                 return done("budget-hit" if heap else "exhausted", None, nodes, dedup.hits)
             nodes += len(batch)
             jobs = []
-            for _, _, key, spent, depth, classes in batch:
-                diag = intern[key]
+            for _, _, key, spent, _, _ in batch:
+                diag = parse_gauss(key)
                 kinds = _allowed_kinds(diag, spent, budget, cap_n, cap_c, True)
                 jobs.append((diag, kinds))
             results = pool.map(_expand, jobs) if pool else map(_expand, jobs)
-            for (_, sq, key, spent, depth, classes), children in zip(batch, results):
+            for (_, sq, _, spent, depth, classes), (diag, _), children in zip(
+                batch, jobs, results
+            ):
                 if track_depth and depth + 1 > budget.max_depth:
                     continue
-                diag = intern[key]
                 for m, child in children:
                     if child.n_crossings > cap_n or child.n_components > cap_c:
                         continue
@@ -285,22 +278,22 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
                         b += 1
                     elif m.kind == "death":
                         dd += 1
-                    child_key = canonical_key(child)
+                    child_key, order = key_and_order(child)
                     if child_key == goal_key and s == b + dd:
                         return done("found", certificate(sq, m), nodes, dedup.hits)
-                    if len(set(raw_classes)) > 1:
-                        child_classes = _canon_classes(
-                            raw_classes, canonicalize(child).iso.comp_perm
-                        )
-                    else:
-                        child_classes = (0,) * len(raw_classes)
+                    # the partition in canonical component order,
+                    # relabeled by first appearance so it is
+                    # isomorphism-invariant
+                    relabel: dict[int, int] = {}
+                    child_classes = tuple(
+                        relabel.setdefault(raw_classes[i], len(relabel))
+                        for i in order
+                    )
                     if not dedup.admit(
                         child_key + _partition_tag(child_classes),
                         (s, b, dd, depth + 1 if track_depth else 0),
                     ):
                         continue
-                    if child_key not in intern:
-                        intern[child_key] = parse_gauss(child_key)
                     seq += 1
                     parents[seq] = (sq, m, child_key)
                     prio = child.n_crossings + child.n_components
@@ -377,7 +370,7 @@ def search_equivalent(
                     for m, child in children:
                         if child.n_crossings > cap_n or child.n_components > cap_c:
                             continue
-                        key = canonical_key(child)
+                        key = key_and_order(child)[0]
                         if key in visited[side]:
                             hits += 1
                             continue
@@ -462,7 +455,7 @@ def reduce_diagram(
                 for _, child in children:
                     if child.n_crossings > cap_n or child.n_components > cap_c:
                         continue
-                    key = canonical_key(child)
+                    key = key_and_order(child)[0]
                     if not dedup.admit(key, (0, 0, 0, depth + 1 if track_depth else 0)):
                         continue
                     if child.n_crossings <= best_rank[0]:

@@ -65,7 +65,7 @@ class TestCriterion1KishinoReproduction:
 
     def test_search_rediscovers_certificate_under_60s(self):
         out = search_slice(parse_gauss(KISHINO), KISHINO_SEARCH_BUDGET)
-        assert out.status == "found"
+        assert (out.status, out.nodes, out.dedup) == ("found", 41, 1976)
         assert out.ms < 60_000
         s, b, d = out.certificate.counters()
         assert (s, d) == (1, 1)
@@ -188,10 +188,11 @@ class TestCriterion5TrefoilProbe:
         assert full_budget_outcome.status != "found"
         assert full_budget_outcome.certificate is None
         assert full_budget_outcome.nodes <= 1_000_000
+        assert (full_budget_outcome.nodes, full_budget_outcome.dedup) == (3790, 408522)
 
     def test_exhausts_within_feasible_crossing_cap(self):
         out = search_slice(parse_gauss(TREFOIL), self._budget(4))
-        assert out.status == "exhausted"
+        assert (out.status, out.nodes, out.dedup) == ("exhausted", 12482, 84484)
         assert out.certificate is None
 
     @pytest.mark.xfail(

@@ -5,6 +5,7 @@ import pytest
 from vknots import (
     CertificateError,
     CobordismCertificate,
+    SearchBudget,
     apply_move,
     canonical_key,
     closure,
@@ -13,11 +14,13 @@ from vknots import (
     parse_move,
     render_certificate,
     replay,
+    search_slice,
     transport_closure_to_long,
     transport_long_to_closure,
     validate_certificate,
 )
 from vknots.certificates import advance_classes, initial_classes
+from vknots.moves import ALL_KINDS
 
 from .conftest import KISHINO, TREFOIL, random_walk
 
@@ -32,6 +35,28 @@ death c=1
 end: ()
 """
 
+# A long concordance that uses every move kind, with crossing ids not in
+# first-appearance order: a birth, a kinked circle merged into the
+# strand, two pokes and an r3 slide, a kink split off and capped, then
+# everything undone.
+EVERY_KIND_LONG = """\
+start: L:O5+U5+
+birth
+r1+ c=1 pos=0 sign=- order=OU
+saddle c1=0 p=2 c2=1 q=0
+r2+ c1=0 p=0 c2=0 q=0 sign=+ order=OU
+r2+ c1=0 p=0 c2=0 q=4 sign=- order=UO
+r3 a=7 b=8 c=10
+saddle c1=0 p=8 c2=0 q=10
+r1- x=5
+death c=1
+r3 a=7 b=8 c=10
+r2- a=7 b=8
+r2- a=9 b=10
+r1- x=6
+end: L:
+"""
+
 
 class TestText:
     def test_parse_render_round_trip(self):
@@ -39,6 +64,26 @@ class TestText:
         assert cert.counters() == (1, 0, 1)
         again = parse_certificate(render_certificate(cert))
         assert again == cert
+
+    @pytest.mark.parametrize("source", ["relabeled-kishino-search", "every-kind-long"])
+    def test_round_trip_keeps_crossing_labels(self, source):
+        # The moves name the start's own crossing ids (and the fresh ids
+        # the replay derives from them), so the text must not renumber.
+        if source == "every-kind-long":
+            cert = parse_certificate(EVERY_KIND_LONG)
+            assert {m.kind for m in cert.steps} == ALL_KINDS
+        else:
+            budget = SearchBudget(
+                max_crossings=8, max_components=3, max_saddles=1,
+                max_deaths=1, max_nodes=100_000, max_depth=14,
+            )
+            out = search_slice(parse_gauss("O17+U42-U17+O42-U5-O9+O5-U9+"), budget)
+            assert out.status == "found"
+            cert = out.certificate
+        assert validate_certificate(cert, "concordance").ok
+        again = parse_certificate(render_certificate(cert))
+        assert again == cert
+        assert validate_certificate(again, "concordance").ok
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\nstart: ()\n# nothing to do\n\nend: ()\n"

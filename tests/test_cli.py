@@ -100,6 +100,14 @@ class TestCertificates:
         r = run("validate", "--claim", "concordance", "/no/such/file")
         assert r.returncode == 3
 
+    def test_non_utf8_file_exit_3(self, tmp_path):
+        p = tmp_path / "c.cert"
+        p.write_bytes(b"start: ()\n\xff\xfe\nend: ()\n")
+        r = run("validate", "--claim", "concordance", str(p))
+        assert r.returncode == 3
+        assert r.stderr.startswith("vknots: error: ")
+        assert "Traceback" not in r.stderr
+
 
 class TestSearch:
     def test_search_slice_found(self, tmp_path):
@@ -129,6 +137,13 @@ class TestSearch:
         )
         assert r.returncode == 0
         assert "status=found" in r.stdout
+
+    @pytest.mark.parametrize("flag,value", [("--max-nodes", "-1"), ("--workers", "0")])
+    def test_bad_budget_exit_3(self, flag, value):
+        r = run("search-slice", "O1+U1+", flag, value)
+        assert r.returncode == 3
+        assert r.stderr.startswith("vknots: error: ")
+        assert "Traceback" not in r.stderr
 
     def test_reduce(self):
         r = run("reduce", "O1+U1+O2-U2-", "--max-nodes", "2000")

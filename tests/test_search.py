@@ -152,6 +152,23 @@ class TestReduce:
             reduce_diagram(parse_gauss("L:"), SearchBudget.small())
 
 
+class TestCaches:
+    def test_searches_leave_canonical_key_cache_small(self):
+        # Children are keyed uncached; only roots, goals and the keys a
+        # found certificate's translation compares reach the cache.
+        canonical_key.cache_clear()
+        search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
+        search_equivalent(
+            parse_gauss("O1+U1+O2-U2-"), parse_gauss("()"), SearchBudget.small()
+        )
+        reduce_diagram(
+            parse_gauss(KISHINO),
+            SearchBudget(max_crossings=5, max_components=2, max_nodes=500,
+                         max_depth=4),
+        )
+        assert canonical_key.cache_info().currsize <= 64
+
+
 class TestDeterminism:
     def test_workers_do_not_change_status(self):
         cases = [
