@@ -59,7 +59,6 @@ def _add_budget_flags(p: argparse.ArgumentParser, cobordism: bool) -> None:
     p.add_argument("--max-components", type=int, default=4)
     p.add_argument("--max-depth", type=int, default=16)
     p.add_argument("--max-nodes", type=int, default=100_000)
-    p.add_argument("--workers", type=int, default=1)
     if cobordism:
         p.add_argument("--max-saddles", type=int, default=1)
         p.add_argument("--max-births", type=int, default=0)
@@ -76,7 +75,6 @@ def _budget(args, cobordism: bool) -> SearchBudget:
             max_deaths=getattr(args, "max_deaths", 0),
             max_nodes=args.max_nodes,
             max_depth=args.max_depth,
-            workers=args.workers,
         )
     except ValueError as err:
         raise UsageError(f"bad budget: {err}") from None

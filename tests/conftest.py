@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,21 @@ KINK = "O1+U1+"
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VIRTUAL_TREFOIL = "O1+U2+U1+O2+"
 KISHINO = "O1+U2-U1+O2-U3-O4+O3-U4+"
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """Run ``python -m vknots.cli`` from this checkout: `src/` goes first
+    on the subprocess's PYTHONPATH, so no install is needed."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "vknots.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
 
 # 30 hand-picked diagrams: knots, links, long knots, degenerate cases.
 CORPUS = [

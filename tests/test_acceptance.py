@@ -3,12 +3,10 @@
 Each test class covers one shipping criterion: the bundled Kishino
 demo, count-rule enforcement, unknot reduction, the Carter genus table,
 the trefoil consistency probe, certificate transports, algebraic laws,
-and determinism under parallel search.
+and determinism of repeated searches.
 """
 
 import random
-import subprocess
-import sys
 import time
 
 import pytest
@@ -37,7 +35,9 @@ from vknots import (
     validate_certificate,
 )
 
-from .conftest import CORPUS, KINK, KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_diagram, random_walk
+from .conftest import (
+    CORPUS, KINK, KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_diagram, random_walk, run_cli,
+)
 from .oracles import carter_genus_oracle
 
 KISHINO_SEARCH_BUDGET = SearchBudget(
@@ -51,15 +51,9 @@ KISHINO_SEARCH_BUDGET = SearchBudget(
 )
 
 
-def _cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "vknots.cli", *args], capture_output=True, text=True
-    )
-
-
 class TestCriterion1KishinoReproduction:
     def test_demo_validates_with_exact_counters(self):
-        r = _cli("demo", "kishino")
+        r = run_cli("demo", "kishino")
         assert r.returncode == 0
         assert r.stdout.splitlines()[-1] == "valid=yes verdict=concordance s=1 b=0 d=1"
 
@@ -275,36 +269,35 @@ class TestCriterion8Parallelism:
     ]
 
     @pytest.mark.parametrize("name,code", CASES)
-    def test_workers_agree_and_certificates_revalidate(self, name, code):
+    def test_runs_repeat_and_certificates_revalidate(self, name, code):
         if name == "slice-kishino":
-            base = KISHINO_SEARCH_BUDGET
+            budget = KISHINO_SEARCH_BUDGET
         else:
-            base = SearchBudget(
+            budget = SearchBudget(
                 max_crossings=5, max_components=2, max_nodes=5000, max_depth=8
             )
-        outcomes = []
-        for workers in (1, 4):
-            budget = SearchBudget(**{**base.__dict__, "workers": workers})
-            out = search_slice(parse_gauss(code), budget)
-            outcomes.append(out)
-            if out.certificate is not None:
-                assert validate_certificate(out.certificate, "concordance").ok
-        assert outcomes[0].status == outcomes[1].status
+        first, again = (search_slice(parse_gauss(code), budget) for _ in range(2))
+        assert (first.status, first.nodes, first.dedup) == (
+            again.status, again.nodes, again.dedup,
+        )
+        assert first.certificate == again.certificate
+        if first.certificate is not None:
+            assert validate_certificate(first.certificate, "concordance").ok
 
     def test_equivalence_and_reduce_agree(self):
         a, b = parse_gauss("O1+U1+"), parse_gauss("()")
-        res = []
-        for workers in (1, 4):
-            budget = SearchBudget(
-                max_crossings=5, max_components=2, max_nodes=5000,
-                max_depth=8, workers=workers,
-            )
-            res.append(search_equivalent(a, b, budget).status)
-            best, genus = reduce_diagram(
-                parse_gauss("O1+U1+O2-U2-"), budget
-            )
-            assert (best.n_crossings, genus) == (0, 0)
-        assert res[0] == res[1]
+        budget = SearchBudget(
+            max_crossings=5, max_components=2, max_nodes=5000, max_depth=8
+        )
+        first, again = (search_equivalent(a, b, budget) for _ in range(2))
+        assert first.status == "found"
+        assert (first.nodes, first.dedup, first.certificate) == (
+            again.nodes, again.dedup, again.certificate,
+        )
+        reduced = [reduce_diagram(parse_gauss("O1+U1+O2-U2-"), budget) for _ in range(2)]
+        assert reduced[0] == reduced[1]
+        best, genus = reduced[0]
+        assert (best.n_crossings, genus) == (0, 0)
 
     def test_single_worker_runs_repeat_identically(self):
         a = search_slice(parse_gauss(KISHINO), KISHINO_SEARCH_BUDGET)

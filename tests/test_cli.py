@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from .conftest import KISHINO, TREFOIL, VIRTUAL_TREFOIL
+from .conftest import run_cli as run
 
 KISHINO_CERT = f"""\
 start: {KISHINO}
@@ -20,15 +21,6 @@ end: ()
 
 
 REPO = Path(__file__).resolve().parents[1]
-
-
-def run(*args, **kw):
-    return subprocess.run(
-        [sys.executable, "-m", "vknots.cli", *args],
-        capture_output=True,
-        text=True,
-        **kw,
-    )
 
 
 class TestBasics:
@@ -138,11 +130,18 @@ class TestSearch:
         assert r.returncode == 0
         assert "status=found" in r.stdout
 
-    @pytest.mark.parametrize("flag,value", [("--max-nodes", "-1"), ("--workers", "0")])
+    @pytest.mark.parametrize("flag,value", [("--max-nodes", "-1")])
     def test_bad_budget_exit_3(self, flag, value):
         r = run("search-slice", "O1+U1+", flag, value)
         assert r.returncode == 3
         assert r.stderr.startswith("vknots: error: ")
+        assert "Traceback" not in r.stderr
+
+    def test_workers_flag_refused(self):
+        r = run("search-slice", "O1+U1+", "--workers", "2")
+        assert r.returncode == 3
+        errors = [ln for ln in r.stderr.splitlines() if ln.startswith("vknots: error: ")]
+        assert errors == ["vknots: error: unrecognized arguments: --workers 2"]
         assert "Traceback" not in r.stderr
 
     def test_reduce(self):

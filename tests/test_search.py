@@ -31,8 +31,6 @@ class TestBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(max_crossings=-1)
-        with pytest.raises(ValueError):
-            SearchBudget(workers=0)
 
     def test_small_preset(self):
         b = SearchBudget.small()
@@ -122,7 +120,24 @@ class TestSearchEquivalent:
             SearchBudget(max_crossings=4, max_components=2, max_nodes=10_000,
                          max_depth=8),
         )
-        assert out.status == "exhausted"
+        assert (out.status, out.nodes, out.dedup) == ("exhausted", 1888, 6854)
+
+    @pytest.mark.parametrize(
+        "max_nodes,nodes,dedup", [(50, 2, 6), (500, 14, 160)]
+    )
+    def test_budget_hit_once_frontiers_outnumber_allowance(
+        self, max_nodes, nodes, dedup
+    ):
+        # Both frontiers together outnumber the nodes left at the start
+        # of a round, so the run can no longer end in "exhausted".
+        out = search_equivalent(
+            parse_gauss(VIRTUAL_TREFOIL),
+            parse_gauss("()"),
+            SearchBudget(max_crossings=4, max_components=2, max_nodes=max_nodes,
+                         max_depth=8),
+        )
+        assert (out.status, out.nodes, out.dedup) == ("budget-hit", nodes, dedup)
+        assert out.certificate is None
 
     def test_long_round_mismatch(self):
         with pytest.raises(DiagramError):
@@ -170,22 +185,15 @@ class TestCaches:
 
 
 class TestDeterminism:
-    def test_workers_do_not_change_status(self):
-        cases = [
-            (search_slice, (parse_gauss(KISHINO),), KISHINO_BUDGET),
-            (
-                search_equivalent,
-                (parse_gauss("O1+U1+"), parse_gauss("()")),
-                SearchBudget.small(),
-            ),
-        ]
-        for fn, args, budget in cases:
-            base = fn(*args, budget)
-            par = fn(*args, SearchBudget(**{**budget.__dict__, "workers": 4}))
-            assert base.status == par.status
-            if par.certificate is not None:
-                claim = "concordance"
-                assert validate_certificate(par.certificate, claim).ok
+    def test_equivalence_repeats_identically(self):
+        a, b = parse_gauss("O1+U1+O2-U2-"), parse_gauss("()")
+        first, again = (
+            search_equivalent(a, b, SearchBudget.small()) for _ in range(2)
+        )
+        assert first.status == "found"
+        assert (first.nodes, first.dedup) == (again.nodes, again.dedup)
+        assert first.certificate == again.certificate
+        assert validate_certificate(first.certificate, "concordance").ok
 
     def test_same_budget_same_outcome(self):
         a = search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
