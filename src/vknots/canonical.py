@@ -13,13 +13,15 @@ it returns the winning component order, all the sliceness search needs
 to carry its surface-piece partition into canonical order.
 `canonicalize` adds the normal form and the normalizing isomorphism
 (component permutation, per-component rotation, id relabeling), which
-lets references be transported between diagrams sharing a key.
+lets references be transported between diagrams sharing a key: the
+certificates layer carries every translated move through two of them,
+arcs through `map_arc` and `unmap_arc`.
 
 Only the public `canonical_key` is cached.  The certificates layer asks
-it for the same diagrams again and again while it validates and
-translates a move sequence; the searches key their children through the
-uncached `key_and_order` instead, since almost none of them is ever
-looked up twice and a cache would only pin them in memory.
+it for the same diagrams again and again while it validates a move
+sequence; the searches key their children through the uncached
+`key_and_order` instead, since almost none of them is ever looked up
+twice and a cache would only pin them in memory.
 
 The minimum is taken over label-free encodings of (component order,
 rotation) candidates.  Every encoding starts each component with the

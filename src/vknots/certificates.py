@@ -17,10 +17,16 @@ piece.  A concordance admits none; a slice disk admits exactly one, the
 final cap.
 
 The two transports move slicing certificates between a long knot and its
-closure: closing the strand reuses the same moves with shifted arc
-indices, while the reverse direction first splits the closure off the
-strand with one saddle, replays the round certificate on that component,
-and caps the resulting circle with a death.
+closure: closing the strand reuses the same moves with strand gap i
+becoming closed arc i-1, while the reverse direction first splits the
+closure off the strand with one saddle, replays the round certificate on
+that component (component indices shifted past the empty strand), and
+caps the resulting circle with a death.  Both, and the searches when they
+rebuild a found path on their input diagram, carry every step exactly:
+the step is lifted onto the image of its reference diagram and pulled
+back onto the current diagram through the two normalizing isos of
+`canonicalize`, which meet in one normal form.  A step that then misses
+its expected canonical key raises CertificateError.
 
 Text format, one move per line (blank lines and '#' comments ignored):
 
@@ -34,9 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import canonical_key
+from .canonical import Iso, canonical_key, canonicalize, map_arc, unmap_arc
 from .diagram import GaussDiagram, closure, parse_gauss, render_gauss
-from .moves import Move, MoveError, apply_move, enumerate_moves, parse_move, render_move
+from .moves import Move, MoveError, apply_move, parse_move, render_move
+from .moves import enumerate_moves  # noqa: F401  (bench/tracer.py wraps it)
 
 CLAIMS = ("concordance", "slice-disk")
 
@@ -229,7 +236,7 @@ def validate_certificate(c: CobordismCertificate, claim: str) -> ValidationRepor
 
 
 def transport_long_to_closure(c: CobordismCertificate) -> CobordismCertificate:
-    """Close the strand: same moves, arcs on the strand shifted.
+    """Close the strand: same moves, strand gap i becoming closed arc i-1.
 
     The input must be a validating concordance between long diagrams; the
     output is a validating concordance between their closures with the
@@ -240,16 +247,8 @@ def transport_long_to_closure(c: CobordismCertificate) -> CobordismCertificate:
     report = validate_certificate(c, "concordance")
     if not report.ok:
         raise CertificateError(f"input certificate invalid: {report.failure}")
-    refs = replay(c)
     act_start = closure(c.start)
-    steps = _translate_steps(
-        refs,
-        c.steps,
-        act_start,
-        image=closure,
-        comp_map={i: i for i in range(c.start.n_components)},
-        shift_strand_arcs=True,
-    )
+    steps = _translate_steps(replay(c), c.steps, act_start, closure, _close_move)
     return CobordismCertificate(act_start, tuple(steps), closure(c.end))
 
 
@@ -274,18 +273,12 @@ def transport_closure_to_long(
         raise CertificateError("certificate does not end at the unknot")
 
     split = Move.of("saddle", c1=0, p=0, c2=0, q=len(k.components[0]))
+    # An empty strand, k's closed components, then the split-off closure
+    # circle: the round certificate's diagrams behind an empty strand.
     act_start = apply_move(k, split)
-    # act_start components: empty strand, k's closed components, then the
-    # split-off closure circle at the end.
-    m = k.n_components - 1
-    comp_map = {0: m + 1}
-    comp_map.update({j: j for j in range(1, c.start.n_components)})
-
-    def image(ref: GaussDiagram) -> GaussDiagram:
-        return GaussDiagram(((),) + ref.components, ref.signs, True)
-
-    refs = replay(c)
-    steps = _translate_steps(refs, c.steps, act_start, image, comp_map, False)
+    steps = _translate_steps(
+        replay(c), c.steps, act_start, _behind_empty_strand, _shift_components
+    )
     # After the round certificate the unknot circle remains next to the
     # empty strand; cap it.
     end = parse_gauss("L:")
@@ -294,149 +287,125 @@ def transport_closure_to_long(
     )
 
 
+def _behind_empty_strand(ref: GaussDiagram) -> GaussDiagram:
+    return GaussDiagram(((),) + ref.components, ref.signs, True)
+
+
+def _shift_components(m: Move, ref: GaussDiagram) -> Move:
+    """Lift a move of a round diagram onto `_behind_empty_strand(ref)`."""
+    if m.kind == "r3":  # its c is a crossing id
+        return m
+    return _with(m, **{n: v + 1 for n, v in m.params if n in ("c", "c1", "c2")})
+
+
+def _close_move(m: Move, ref: GaussDiagram) -> Move:
+    """Lift a move of a long diagram onto its closure: strand gap i (the
+    gap before endpoint i) becomes closed arc i-1, from endpoint i-1 to
+    endpoint i; crossing ids and component indices are unchanged."""
+    k = len(ref.components[0])
+
+    def arc(c: int, a: int) -> int:
+        if c != 0:
+            return a
+        return (a - 1) % k if k else 0
+
+    if m.kind == "r1_insert":
+        return _with(m, pos=arc(m["c"], m["pos"]))
+    if m.kind == "saddle":
+        return _with(m, p=arc(m["c1"], m["p"]), q=arc(m["c2"], m["q"]))
+    if m.kind == "r2_insert":
+        c1, p, c2, q = m["c1"], m["p"], m["c2"], m["q"]
+        if c1 == c2 == 0:
+            # q indexes the strand with the over pair in place.  At gap 0
+            # the pair opens the strand but ends the closed list, which
+            # turns the closed intermediate by two more endpoints.
+            q = (q - (3 if p == 0 else 1)) % (k + 2)
+        else:
+            q = arc(c2, q)
+        return _with(m, p=arc(c1, p), q=q)
+    return m
+
+
+def _with(m: Move, **changes) -> Move:
+    return Move(m.kind, tuple((n, changes.get(n, v)) for n, v in m.params))
+
+
 def _translate_steps(
     refs: list[GaussDiagram],
     steps: tuple[Move, ...],
-    act_start: GaussDiagram,
-    image,
-    comp_map: dict[int, int],
-    shift_strand_arcs: bool,
+    act: GaussDiagram,
+    image=lambda ref: ref,
+    lift=lambda m, ref: m,
 ) -> list[Move]:
     """Re-express a move sequence on a parallel replay line.
 
-    `refs` are the diagrams of the reference replay; `image(ref)` is the
-    diagram the translated replay should be canonically equal to at each
-    step.  A natural per-kind translation (component indices through the
-    evolving `comp_map`, strand arcs shifted when closing) is tried
-    first; when it misses, the step is re-derived by enumerating moves of
-    the same kind on the current diagram and matching the expected key.
+    `refs` are the diagrams of the reference replay, `steps[i]` taking
+    `refs[i]` to `refs[i + 1]`; `act` must have the canonical key of
+    `image(refs[0])`.  Each step is lifted onto the image diagram by
+    `lift(step, ref)` and then pulled back exactly onto the current
+    diagram through the two normalizing isos, which meet in one normal
+    form: `canonicalize(image(ref))` and `canonicalize(act)`.  The
+    translated step must reach the key of `image(refs[i + 1])`; a miss
+    raises CertificateError.
     """
-    act = act_start
+    src = image(refs[0])
+    src_canon, act_canon = canonicalize(src), canonicalize(act)
     out: list[Move] = []
-    pi = dict(comp_map)
     for i, m in enumerate(steps):
-        ref_d, ref_next = refs[i], refs[i + 1]
-        expected = canonical_key(image(ref_next))
-        cand = _natural_translation(m, ref_d, act, pi, shift_strand_arcs)
-        chosen = None
-        if cand is not None:
-            try:
-                nxt = apply_move(act, cand)
-            except MoveError:
-                nxt = None
-            if nxt is not None and canonical_key(nxt) == expected:
-                chosen = cand
-        if chosen is None:
-            for alt in enumerate_moves(act, kinds={m.kind}):
-                try:
-                    nxt = apply_move(act, alt)
-                except MoveError:
-                    continue
-                if canonical_key(nxt) == expected:
-                    chosen = alt
-                    break
-        if chosen is None:
-            raise CertificateError(
-                f"cannot transport step {i + 1} ({render_move(m)})"
-            )
-        pi = _advance_comp_map(pi, m, chosen, ref_d, act)
-        act = apply_move(act, chosen)
-        out.append(chosen)
+        nxt_src = image(refs[i + 1])
+        nxt_canon = canonicalize(nxt_src)
+        moved = _pull_back(lift(m, refs[i]), src, src_canon.iso, act, act_canon.iso)
+        try:
+            nxt = apply_move(act, moved)
+            act_canon = canonicalize(nxt)
+        except MoveError:
+            nxt = None
+        if nxt is None or act_canon.key != nxt_canon.key:
+            raise CertificateError(f"cannot transport step {i + 1} ({render_move(m)})")
+        out.append(moved)
+        src, src_canon, act = nxt_src, nxt_canon, nxt
     return out
 
 
-def _natural_translation(
-    m: Move, ref_d: GaussDiagram, act: GaussDiagram, pi: dict, shift: bool
-) -> Move | None:
-    """Kind-by-kind parameter translation; None if indices are unmapped."""
+def _pull_back(
+    m: Move, src: GaussDiagram, src_iso: Iso, dst: GaussDiagram, dst_iso: Iso
+) -> Move:
+    """Carry a move of `src` onto `dst`, a diagram with the same normal
+    form: crossing ids through the composed id maps, components through
+    the component permutations, arcs through map_arc/unmap_arc."""
+    to_dst = {canon: own for own, canon in dst_iso.id_map}
+    ids = {own: to_dst[canon] for own, canon in src_iso.id_map}
 
-    def t_comp(c: int) -> int | None:
-        return pi.get(c)
+    def comp(c: int) -> int:
+        return dst_iso.comp_perm.index(src_iso.comp_perm[c])
 
-    def t_arc(c: int, a: int) -> int | None:
-        ac = t_comp(c)
-        if ac is None:
-            return None
-        if shift and c == 0:
-            k = len(act.components[ac])
-            return (a - 1) % k if k else 0
-        return a
+    def arc(c: int, a: int) -> int:
+        return unmap_arc(dst_iso, dst, *map_arc(src_iso, src, c, a))[1]
 
-    try:
-        if m.kind in ("r1_delete", "r2_delete", "r3", "birth"):
-            return m  # crossing ids track across parallel replays
-        if m.kind == "death":
-            c = t_comp(m["c"])
-            return None if c is None else Move.of("death", c=c)
-        if m.kind == "r1_insert":
-            c, pos = t_comp(m["c"]), t_arc(m["c"], m["pos"])
-            if c is None or pos is None:
-                return None
-            return Move.of(
-                "r1_insert", c=c, pos=pos, sign=m["sign"], order=m["order"]
-            )
-        if m.kind == "r2_insert":
-            c1, p = t_comp(m["c1"]), t_arc(m["c1"], m["p"])
-            c2 = t_comp(m["c2"])
-            if c1 is None or p is None or c2 is None:
-                return None
-            q = m["q"]
-            if shift and m["c2"] == 0:
-                # q indexes the intermediate with the over pair in place.
-                ki = len(act.components[c2]) + (2 if m["c1"] == m["c2"] else 0)
-                q = (q - 1) % ki if ki else 0
-            return Move.of(
-                "r2_insert", c1=c1, p=p, c2=c2, q=q, sign=m["sign"], order=m["order"]
-            )
-        if m.kind == "saddle":
-            c1, p = t_comp(m["c1"]), t_arc(m["c1"], m["p"])
-            c2, q = t_comp(m["c2"]), t_arc(m["c2"], m["q"])
-            if None in (c1, p, c2, q):
-                return None
-            return Move.of("saddle", c1=c1, p=p, c2=c2, q=q)
-    except MoveError:
-        return None
-    return None
-
-
-def _advance_comp_map(
-    pi: dict, ref_m: Move, act_m: Move, ref_d: GaussDiagram, act_d: GaussDiagram
-) -> dict:
-    """Update the ref->act component map across one parallel step."""
-
-    def removed(mapping: dict, ref_gone: int | None, act_gone: int | None) -> dict:
-        out = {}
-        for r, a in mapping.items():
-            if r == ref_gone or a == act_gone:
-                continue
-            out[r - (1 if ref_gone is not None and r > ref_gone else 0)] = a - (
-                1 if act_gone is not None and a > act_gone else 0
-            )
-        return out
-
-    kind = ref_m.kind
-    if kind == "birth":
-        pi = dict(pi)
-        pi[ref_d.n_components] = act_d.n_components
-        return pi
+    kind = m.kind
+    if kind in ("r1_delete", "r2_delete", "r3"):  # crossing ids only
+        return _with(m, **{n: ids[v] for n, v in m.params})
     if kind == "death":
-        return removed(pi, ref_m["c"], act_m["c"])
+        return _with(m, c=comp(m["c"]))
+    if kind == "r1_insert":
+        return _with(m, c=comp(m["c"]), pos=arc(m["c"], m["pos"]))
     if kind == "saddle":
-        r1, r2 = ref_m["c1"], ref_m["c2"]
-        a1, a2 = act_m["c1"], act_m["c2"]
-        if r1 == r2 and a1 == a2:  # split: both append a new component
-            pi = dict(pi)
-            pi[ref_d.n_components] = act_d.n_components
-            return pi
-        if r1 != r2 and a1 != a2:  # merge: c2 disappears, c1 keeps the result
-            out = {}
-            for r, a in pi.items():
-                if r == r2 or a == a2:
-                    continue
-                out[r - (1 if r > r2 else 0)] = a - (1 if a > a2 else 0)
-            out[r1 - (1 if r1 > r2 else 0)] = a1 - (1 if a1 > a2 else 0)
-            return out
-        # Split on one side, merge on the other: component bookkeeping
-        # diverged; drop the map and rely on re-derivation.
-        return {}
-    return pi
+        c1, c2 = m["c1"], m["c2"]
+        return _with(
+            m, c1=comp(c1), p=arc(c1, m["p"]), c2=comp(c2), q=arc(c2, m["q"])
+        )
+    if kind == "r2_insert":
+        c1, p, c2, q = m["c1"], m["p"], m["c2"], m["q"]
+        dc1, dp = comp(c1), arc(c1, p)
+        if c1 != c2:
+            q = arc(c2, q)
+        elif not (src.long and c1 == 0) and src.components[c1]:
+            # q indexes the component with the over pair in place, which
+            # the normalizing rotation r turns by r, or by r + 2 when the
+            # pair lands at a slot <= r.
+            k = len(src.components[c1]) + 2
+            r_src, r_dst = src_iso.rotations[c1], dst_iso.rotations[dc1]
+            q -= r_src + (2 if p < r_src else 0)
+            q = (q + r_dst + (2 if dp < r_dst else 0)) % k
+        return _with(m, c1=dc1, p=dp, c2=comp(c2), q=q)
+    return m  # birth

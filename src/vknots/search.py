@@ -18,12 +18,11 @@ budget to be reported).
 
 Every child is keyed exactly once, through the uncached
 `key_and_order`, so no search fills the module-level `canonical_key`
-cache; only roots, goals and the translation of a found certificate go
-through it.  In the sliceness search a state *is* its canonical key:
-the frontier and the parent pointers hold keys, and a diagram is parsed
-back from its key only when the state is popped for expansion (most
-admitted states never are) or lies on the chain a found certificate is
-rebuilt from.
+cache; only roots and goals go through it.  In the sliceness search a
+state *is* its canonical key: the frontier and the parent pointers hold
+keys, and a diagram is parsed back from its key only when the state is
+popped for expansion (most admitted states never are) or lies on the
+chain a found certificate is rebuilt from.
 
 States are deduplicated on (canonical key, spent cobordism counters,
 depth) with dominance: a state is skipped when an already-visited state
@@ -296,10 +295,7 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
         # canonical keys parse back to the canonical normal form
         refs = [parse_gauss(key) for key in keys]
         steps = tuple(move for _, move, _ in chain) + (last_move,)
-        translated = _translate_steps(
-            refs, steps, d, image=lambda x: x, comp_map={},
-            shift_strand_arcs=False,
-        )
+        translated = _translate_steps(refs, steps, d)
         return CobordismCertificate(d, tuple(translated), parse_gauss("()"))
 
     dedup = _Dedup(budget)
@@ -387,10 +383,7 @@ def _splice(
         chain.append(nxt)
         invs.append(inv)
     # Reversed reference line runs from the meeting state back to b.
-    translated = _translate_steps(
-        chain[::-1], tuple(invs[::-1]), meet, image=lambda x: x, comp_map={},
-        shift_strand_arcs=False,
-    )
+    translated = _translate_steps(chain[::-1], tuple(invs[::-1]), meet)
     return CobordismCertificate(a, tuple(path_a) + tuple(translated), b)
 
 

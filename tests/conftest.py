@@ -87,6 +87,24 @@ def random_diagram(rng: random.Random, max_crossings: int = 5) -> GaussDiagram:
     return parse_gauss(("L:" if long else "") + ";".join(parts))
 
 
+def scrambled(d: GaussDiagram, rng: random.Random) -> GaussDiagram:
+    """An isomorphic copy: crossings renumbered, cyclic components
+    rotated, components shuffled behind the strand."""
+    ids = rng.sample(range(1, 10 * d.n_crossings + 10), d.n_crossings)
+    relabel = dict(zip(d.crossing_ids, ids))
+    comps = []
+    for i, comp in enumerate(d.components):
+        comp = tuple((relabel[cid], role) for cid, role in comp)
+        if comp and not (d.long and i == 0):
+            r = rng.randrange(len(comp))
+            comp = comp[r:] + comp[:r]
+        comps.append(comp)
+    head, rest = (comps[:1], comps[1:]) if d.long else ([], comps)
+    rng.shuffle(rest)
+    signs = tuple(sorted((relabel[cid], s) for cid, s in d.signs))
+    return GaussDiagram(tuple(head + rest), signs, d.long)
+
+
 def random_walk(
     d: GaussDiagram,
     rng: random.Random,

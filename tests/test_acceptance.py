@@ -26,7 +26,6 @@ from vknots import (
     parse_gauss,
     parse_move,
     reduce_diagram,
-    render_certificate,
     reverse,
     search_equivalent,
     search_slice,
@@ -298,9 +297,3 @@ class TestCriterion8Parallelism:
         assert reduced[0] == reduced[1]
         best, genus = reduced[0]
         assert (best.n_crossings, genus) == (0, 0)
-
-    def test_single_worker_runs_repeat_identically(self):
-        a = search_slice(parse_gauss(KISHINO), KISHINO_SEARCH_BUDGET)
-        b = search_slice(parse_gauss(KISHINO), KISHINO_SEARCH_BUDGET)
-        assert (a.status, a.nodes, a.certificate) == (b.status, b.nodes, b.certificate)
-        assert render_certificate(a.certificate) == render_certificate(b.certificate)

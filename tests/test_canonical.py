@@ -1,13 +1,12 @@
 """Canonical keys: invariance, separation, and a brute-force differential."""
 
 import itertools
-import random
 
 from vknots import GaussDiagram, canonical_key, canonicalize, parse_gauss, render_gauss
 from vknots.canonical import map_arc, unmap_arc
 from vknots.diagram import relabel_first_appearance
 
-from .conftest import CORPUS, KISHINO, random_diagram
+from .conftest import CORPUS, KISHINO, random_diagram, scrambled
 
 
 def _rotate(d: GaussDiagram, comp: int, r: int) -> GaussDiagram:
@@ -20,15 +19,6 @@ def _rotate(d: GaussDiagram, comp: int, r: int) -> GaussDiagram:
 def _permute(d: GaussDiagram, order) -> GaussDiagram:
     comps = tuple(d.components[i] for i in order)
     return GaussDiagram(comps, d.signs, d.long)
-
-
-def _relabel(d: GaussDiagram, rng: random.Random) -> GaussDiagram:
-    ids = sorted({cid for comp in d.components for cid, _ in comp})
-    fresh = rng.sample(range(1, 1000), len(ids))
-    m = dict(zip(ids, fresh))
-    comps = tuple(tuple((m[cid], role) for cid, role in comp) for comp in d.components)
-    signs = tuple(sorted((m[cid], s) for cid, s in d.signs))
-    return GaussDiagram(comps, signs, d.long)
 
 
 def _label_free_encoding(d: GaussDiagram) -> list:
@@ -91,20 +81,7 @@ class TestKey:
         for _ in range(200):
             d = random_diagram(rng, max_crossings=5)
             key = canonical_key(d)
-            n = len(d.components)
-            order = list(range(n))
-            tail = order[1:] if d.long else order
-            rng.shuffle(tail)
-            if d.long:
-                order = [0] + tail
-            else:
-                order = tail
-            other = _permute(d, order)
-            for comp in range(n):
-                if (other.long and comp == 0) or not other.components[comp]:
-                    continue
-                other = _rotate(other, comp, rng.randrange(len(other.components[comp])))
-            other = _relabel(other, rng)
+            other = scrambled(d, rng)
             assert canonical_key(other) == key
 
     def test_key_parses_back_to_same_key(self, rng):

@@ -1,14 +1,19 @@
 """Certificate parsing, replay, validation, and the Lemma-style transports."""
 
+import random
+
 import pytest
 
+import vknots.certificates
 from vknots import (
     CertificateError,
     CobordismCertificate,
+    GaussDiagram,
     SearchBudget,
     apply_move,
     canonical_key,
     closure,
+    enumerate_moves,
     parse_certificate,
     parse_gauss,
     parse_move,
@@ -19,10 +24,17 @@ from vknots import (
     transport_long_to_closure,
     validate_certificate,
 )
-from vknots.certificates import advance_classes, initial_classes
+from vknots.certificates import (
+    _behind_empty_strand,
+    _close_move,
+    _shift_components,
+    _translate_steps,
+    advance_classes,
+    initial_classes,
+)
 from vknots.moves import ALL_KINDS
 
-from .conftest import KISHINO, TREFOIL, random_walk
+from .conftest import KISHINO, TREFOIL, random_diagram, random_walk, scrambled
 
 R_KINDS = {"r1_insert", "r2_insert", "r1_delete", "r2_delete", "r3"}
 
@@ -58,6 +70,13 @@ end: L:
 """
 
 
+RELABELED_KISHINO = "O17+U42-U17+O42-U5-O9+O5-U9+"
+KISHINO_BUDGET = SearchBudget(
+    max_crossings=8, max_components=3, max_saddles=1,
+    max_deaths=1, max_nodes=100_000, max_depth=14,
+)
+
+
 class TestText:
     def test_parse_render_round_trip(self):
         cert = parse_certificate(KISHINO_CONCORDANCE)
@@ -73,11 +92,7 @@ class TestText:
             cert = parse_certificate(EVERY_KIND_LONG)
             assert {m.kind for m in cert.steps} == ALL_KINDS
         else:
-            budget = SearchBudget(
-                max_crossings=8, max_components=3, max_saddles=1,
-                max_deaths=1, max_nodes=100_000, max_depth=14,
-            )
-            out = search_slice(parse_gauss("O17+U42-U17+O42-U5-O9+O5-U9+"), budget)
+            out = search_slice(parse_gauss(RELABELED_KISHINO), KISHINO_BUDGET)
             assert out.status == "found"
             cert = out.certificate
         assert validate_certificate(cert, "concordance").ok
@@ -265,3 +280,94 @@ class TestTransports:
         cert = parse_certificate(KISHINO_CONCORDANCE)
         with pytest.raises(CertificateError):
             transport_long_to_closure(cert)
+
+    def test_every_kind_long_round_trip(self):
+        cert = parse_certificate(EVERY_KIND_LONG)
+        closed = transport_long_to_closure(cert)
+        assert closed.counters() == (2, 1, 1)
+        assert validate_certificate(closed, "concordance").ok
+        lifted = transport_closure_to_long(closed, cert.start)
+        assert lifted.counters() == (3, 1, 2)
+        assert validate_certificate(lifted, "concordance").ok
+
+
+# (image, lift) pairs: the search's own replay line, closing the strand,
+# and a round diagram placed behind an empty strand.
+PLAIN = (lambda ref: ref, lambda m, ref: m)
+CLOSE = (closure, _close_move)
+STRAND = (_behind_empty_strand, _shift_components)
+
+
+class TestExactTransport:
+    """Every step is carried exactly through the normalizing isos."""
+
+    def _translates(self, d, m, act, lift=PLAIN):
+        (moved,) = _translate_steps([d, apply_move(d, m)], (m,), act, *lift)
+        return moved
+
+    def test_every_move_onto_scrambled_copies(self):
+        rng = random.Random(5)
+        done = {"plain": 0, "closure": 0, "strand": 0}
+        for _ in range(25):
+            d = random_diagram(rng, max_crossings=4)
+            lifts = {"plain": PLAIN}
+            if d.long:
+                lifts["closure"] = CLOSE
+            else:
+                lifts["strand"] = STRAND
+            for name, lift in lifts.items():
+                act = scrambled(lift[0](d), rng)
+                for m in enumerate_moves(d):
+                    try:
+                        apply_move(d, m)
+                    except ValueError:
+                        continue
+                    self._translates(d, m, act, lift)
+                    done[name] += 1
+        assert min(done.values()) > 1000
+
+    def test_poke_on_chordless_circle_keeps_q(self):
+        d = parse_gauss("O1+U1+;()")
+        act = parse_gauss("();U7+O7+")
+        for q in (0, 1):  # both arcs join the two over endpoints
+            m = parse_move(f"r2+ c1=1 p=0 c2=1 q={q} sign=+ order=OU")
+            moved = self._translates(d, m, act)
+            assert (moved["c1"], moved["c2"], moved["q"]) == (0, 0, q)
+
+    def test_poke_on_rotated_component(self):
+        # The copy turns the trefoil by r = 3; pokes whose over pair lands
+        # at a slot <= 3 turn the intermediate by r + 2.
+        d = parse_gauss(TREFOIL)
+        comp = d.components[0]
+        act = GaussDiagram((comp[3:] + comp[:3],), d.signs, False)
+        low = 0
+        for m in enumerate_moves(d, kinds={"r2_insert"}):
+            if m["c2"] == 0:
+                self._translates(d, m, act)
+                low += m["p"] < 3
+        assert low
+
+    def test_closure_lift_of_poke_at_strand_gap_zero(self):
+        d = parse_gauss("L:O1+U2-U1+O2-")
+        lifted = 0
+        for m in enumerate_moves(d, kinds={"r2_insert"}):
+            if m["c1"] == m["c2"] == 0 and m["p"] == 0:
+                moved = self._translates(d, m, closure(d), CLOSE)
+                k = len(d.components[0]) + 2
+                assert moved["q"] == (m["q"] - 3) % k
+                lifted += 1
+        assert lifted
+
+    def test_no_step_is_rederived_by_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("translation enumerated moves")
+
+        monkeypatch.setattr(vknots.certificates, "enumerate_moves", refuse)
+        cert = parse_certificate(EVERY_KIND_LONG)
+        closed = transport_long_to_closure(cert)
+        assert validate_certificate(closed, "concordance").ok
+        lifted = transport_closure_to_long(closed, cert.start)
+        assert validate_certificate(lifted, "concordance").ok
+        out = search_slice(parse_gauss(RELABELED_KISHINO), KISHINO_BUDGET)
+        assert out.status == "found"
+        assert validate_certificate(out.certificate, "concordance").ok

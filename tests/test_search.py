@@ -194,10 +194,3 @@ class TestDeterminism:
         assert (first.nodes, first.dedup) == (again.nodes, again.dedup)
         assert first.certificate == again.certificate
         assert validate_certificate(first.certificate, "concordance").ok
-
-    def test_same_budget_same_outcome(self):
-        a = search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
-        b = search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
-        assert a.status == b.status
-        assert a.nodes == b.nodes
-        assert a.certificate == b.certificate
