@@ -11,9 +11,9 @@ diagrams keep distinct keys.  The key doubles as the dedup identity for
 search, which keys every child through `key_and_order`: besides the key
 it returns the winning component order, all the sliceness search needs
 to carry its surface-piece partition into canonical order.
-`canonicalize` adds the normal form and the normalizing isomorphism
-(component permutation, per-component rotation, id relabeling), which
-lets references be transported between diagrams sharing a key: the
+`canonicalize` adds the normalizing isomorphism onto the normal form
+the key renders (component permutation, per-component rotation, id
+relabeling), which lets references be transported between diagrams sharing a key: the
 certificates layer carries every translated move through two of them,
 arcs through `map_arc` and `unmap_arc`.
 
@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import OVER, GaussDiagram, relabel_first_appearance
+from .diagram import OVER, GaussDiagram
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class Iso:
 @dataclass(frozen=True)
 class CanonicalResult:
     key: str
-    diagram: GaussDiagram
     iso: Iso
 
 
@@ -75,26 +74,22 @@ def key_and_order(d: GaussDiagram) -> tuple[str, tuple[int, ...]]:
 
 
 def canonicalize(d: GaussDiagram) -> CanonicalResult:
-    """Canonical key plus the normal form and normalizing iso."""
+    """Canonical key plus the normalizing iso."""
     order, rots, code = _best_candidate(d)
 
     n = len(d.components)
     comp_perm = [0] * n
     rotations = [0] * n
+    id_map: dict[int, int] = {}
     for new_idx, old_idx in enumerate(order):
         comp_perm[old_idx] = new_idx
-        rotations[old_idx] = rots[new_idx]
-
-    comps = []
-    for new_idx, old_idx in enumerate(order):
+        rotations[old_idx] = r = rots[new_idx]
         seq = d.components[old_idx]
-        r = rots[new_idx]
-        comps.append(seq[r:] + seq[:r] if seq else ())
-    permuted = GaussDiagram(tuple(comps), d.signs, d.long)
-    normal, id_map = relabel_first_appearance(permuted)
+        for cid, _ in seq[r:] + seq[:r]:
+            id_map.setdefault(cid, len(id_map) + 1)
 
     iso = Iso(tuple(comp_perm), tuple(rotations), tuple(sorted(id_map.items())))
-    return CanonicalResult(_render_code(code, d.long), normal, iso)
+    return CanonicalResult(_render_code(code, d.long), iso)
 
 
 def _candidate_orders(d: GaussDiagram):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .canonical import Iso, canonical_key, canonicalize, map_arc, unmap_arc
 from .diagram import GaussDiagram, closure, parse_gauss, render_gauss
-from .moves import Move, MoveError, apply_move, parse_move, render_move
+from .moves import Move, MoveError, apply_move, parse_move, relabel_move, render_move
 from .moves import enumerate_moves  # noqa: F401  (bench/tracer.py wraps it)
 
 CLAIMS = ("concordance", "slice-disk")
@@ -58,20 +58,10 @@ class CobordismCertificate:
     steps: tuple[Move, ...]
     end: GaussDiagram
 
-    @property
-    def saddles(self) -> int:
-        return sum(1 for m in self.steps if m.kind == "saddle")
-
-    @property
-    def births(self) -> int:
-        return sum(1 for m in self.steps if m.kind == "birth")
-
-    @property
-    def deaths(self) -> int:
-        return sum(1 for m in self.steps if m.kind == "death")
-
     def counters(self) -> tuple[int, int, int]:
-        return self.saddles, self.births, self.deaths
+        """Numbers of saddles, births and deaths."""
+        kinds = [m.kind for m in self.steps]
+        return kinds.count("saddle"), kinds.count("birth"), kinds.count("death")
 
 
 @dataclass(frozen=True)
@@ -293,9 +283,7 @@ def _behind_empty_strand(ref: GaussDiagram) -> GaussDiagram:
 
 def _shift_components(m: Move, ref: GaussDiagram) -> Move:
     """Lift a move of a round diagram onto `_behind_empty_strand(ref)`."""
-    if m.kind == "r3":  # its c is a crossing id
-        return m
-    return _with(m, **{n: v + 1 for n, v in m.params if n in ("c", "c1", "c2")})
+    return relabel_move(m, comp=lambda c: c + 1)
 
 
 def _close_move(m: Move, ref: GaussDiagram) -> Move:
@@ -309,25 +297,14 @@ def _close_move(m: Move, ref: GaussDiagram) -> Move:
             return a
         return (a - 1) % k if k else 0
 
-    if m.kind == "r1_insert":
-        return _with(m, pos=arc(m["c"], m["pos"]))
-    if m.kind == "saddle":
-        return _with(m, p=arc(m["c1"], m["p"]), q=arc(m["c2"], m["q"]))
-    if m.kind == "r2_insert":
-        c1, p, c2, q = m["c1"], m["p"], m["c2"], m["q"]
-        if c1 == c2 == 0:
-            # q indexes the strand with the over pair in place.  At gap 0
-            # the pair opens the strand but ends the closed list, which
-            # turns the closed intermediate by two more endpoints.
-            q = (q - (3 if p == 0 else 1)) % (k + 2)
-        else:
-            q = arc(c2, q)
-        return _with(m, p=arc(c1, p), q=q)
-    return m
-
-
-def _with(m: Move, **changes) -> Move:
-    return Move(m.kind, tuple((n, changes.get(n, v)) for n, v in m.params))
+    moved = relabel_move(m, arc=arc)
+    if m.kind == "r2_insert" and m["c1"] == m["c2"] == 0:
+        # q indexes the strand with the over pair in place.  At gap 0 the
+        # pair opens the strand but ends the closed list, which turns the
+        # closed intermediate by two more endpoints.
+        q = (m["q"] - (3 if m["p"] == 0 else 1)) % (k + 2)
+        moved = Move.of(m.kind, **dict(moved.params, q=q))
+    return moved
 
 
 def _translate_steps(
@@ -382,30 +359,16 @@ def _pull_back(
     def arc(c: int, a: int) -> int:
         return unmap_arc(dst_iso, dst, *map_arc(src_iso, src, c, a))[1]
 
-    kind = m.kind
-    if kind in ("r1_delete", "r2_delete", "r3"):  # crossing ids only
-        return _with(m, **{n: ids[v] for n, v in m.params})
-    if kind == "death":
-        return _with(m, c=comp(m["c"]))
-    if kind == "r1_insert":
-        return _with(m, c=comp(m["c"]), pos=arc(m["c"], m["pos"]))
-    if kind == "saddle":
-        c1, c2 = m["c1"], m["c2"]
-        return _with(
-            m, c1=comp(c1), p=arc(c1, m["p"]), c2=comp(c2), q=arc(c2, m["q"])
-        )
-    if kind == "r2_insert":
-        c1, p, c2, q = m["c1"], m["p"], m["c2"], m["q"]
-        dc1, dp = comp(c1), arc(c1, p)
-        if c1 != c2:
-            q = arc(c2, q)
-        elif not (src.long and c1 == 0) and src.components[c1]:
+    moved = relabel_move(m, ids=ids, comp=comp, arc=arc)
+    if m.kind == "r2_insert" and m["c1"] == m["c2"]:
+        c, p, q = m["c1"], m["p"], m["q"]
+        if not (src.long and c == 0) and src.components[c]:
             # q indexes the component with the over pair in place, which
             # the normalizing rotation r turns by r, or by r + 2 when the
             # pair lands at a slot <= r.
-            k = len(src.components[c1]) + 2
-            r_src, r_dst = src_iso.rotations[c1], dst_iso.rotations[dc1]
+            k = len(src.components[c]) + 2
+            r_src, r_dst = src_iso.rotations[c], dst_iso.rotations[comp(c)]
             q -= r_src + (2 if p < r_src else 0)
-            q = (q + r_dst + (2 if dp < r_dst else 0)) % k
-        return _with(m, c1=dc1, p=dp, c2=comp(c2), q=q)
-    return m  # birth
+            q = (q + r_dst + (2 if moved["p"] < r_dst else 0)) % k
+        moved = Move.of(m.kind, **dict(moved.params, q=q))
+    return moved

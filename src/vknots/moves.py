@@ -12,6 +12,10 @@ Move kinds:
     birth       create a chordless circle
     death       delete a chordless circle
 
+`PARAMS` lists each kind's parameters in text order and the role of
+each (a crossing id, a component, an arc, a sign or an endpoint order);
+`parse_move`, `render_move` and `relabel_move` all read them there.
+
 Virtual and mixed moves act as the identity on Gauss diagrams and have
 no move kind; planar isotopy likewise.
 
@@ -37,11 +41,27 @@ from typing import Iterable, Iterator
 
 from .diagram import OVER, UNDER, DiagramError, GaussDiagram, make_diagram
 
-R_MOVE_KINDS = frozenset(
-    {"r1_delete", "r1_insert", "r2_delete", "r2_insert", "r3"}
-)
-COBORDISM_KINDS = frozenset({"saddle", "birth", "death"})
-ALL_KINDS = R_MOVE_KINDS | COBORDISM_KINDS
+# Each kind's parameters in text order, with the role of each:
+#   id     a crossing id
+#   comp   a component index
+#   arc    an arc of the component named just before it
+#   sign   the sign of a new crossing, written + or - (default +)
+#   order  OU or UO: which endpoint of a new crossing comes first
+PARAMS = {
+    "r1_delete": (("x", "id"),),
+    "r1_insert": (("c", "comp"), ("pos", "arc"), ("sign", "sign"), ("order", "order")),
+    "r2_delete": (("a", "id"), ("b", "id")),
+    "r2_insert": (
+        ("c1", "comp"), ("p", "arc"), ("c2", "comp"), ("q", "arc"),
+        ("sign", "sign"), ("order", "order"),
+    ),
+    "r3": (("a", "id"), ("b", "id"), ("c", "id")),
+    "saddle": (("c1", "comp"), ("p", "arc"), ("c2", "comp"), ("q", "arc")),
+    "birth": (),
+    "death": (("c", "comp"),),
+}
+ALL_KINDS = frozenset(PARAMS)
+_ROLES = {kind: dict(spec) for kind, spec in PARAMS.items()}
 
 _KIND_TO_TEXT = {
     "r1_delete": "r1-",
@@ -75,35 +95,14 @@ class Move:
                 return value
         raise KeyError(name)
 
-    def text(self) -> str:
-        head = _KIND_TO_TEXT[self.kind]
-        if not self.params:
-            return head
-        body = " ".join(f"{k}={v}" for k, v in self.params)
-        return f"{head} {body}"
-
     @staticmethod
-    def of(kind: str, **params) -> "Move":
-        order = _PARAM_ORDER[kind]
-        if set(params) != set(order):
+    def of(kind: str, /, **params) -> "Move":
+        roles = _ROLES[kind]
+        if params.keys() != roles.keys():
             raise MoveError(
-                f"{kind} takes parameters {order}, got {sorted(params)}"
+                f"{kind} takes parameters {tuple(roles)}, got {sorted(params)}"
             )
-        return Move(kind, tuple((k, params[k]) for k in order))
-
-
-_PARAM_ORDER = {
-    "r1_delete": ("x",),
-    "r1_insert": ("c", "pos", "sign", "order"),
-    "r2_delete": ("a", "b"),
-    "r2_insert": ("c1", "p", "c2", "q", "sign", "order"),
-    "r3": ("a", "b", "c"),
-    "saddle": ("c1", "p", "c2", "q"),
-    "birth": (),
-    "death": ("c",),
-}
-
-_INT_PARAMS = {"x", "c", "pos", "a", "b", "c1", "p", "c2", "q"}
+        return Move(kind, tuple((k, params[k]) for k in roles))
 
 
 def parse_move(line: str) -> Move:
@@ -111,40 +110,57 @@ def parse_move(line: str) -> Move:
     if not parts or parts[0] not in _TEXT_TO_KIND:
         raise MoveError(f"unrecognized move line {line!r}")
     kind = _TEXT_TO_KIND[parts[0]]
-    params = {}
+    roles = _ROLES[kind]
+    params: dict[str, object] = {"sign": 1} if "sign" in roles else {}
     for item in parts[1:]:
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        if not eq:
             raise MoveError(f"bad parameter {item!r} in {line!r}")
-        key, value = item.split("=", 1)
-        if key in _INT_PARAMS:
+        role = roles.get(key)
+        if role in ("id", "comp", "arc"):
             try:
                 params[key] = int(value)
             except ValueError:
                 raise MoveError(f"bad integer {value!r} in {line!r}") from None
-        elif key == "sign":
+        elif role == "sign":
             if value not in ("+", "-"):
                 raise MoveError(f"bad sign {value!r} in {line!r}")
             params[key] = 1 if value == "+" else -1
         else:
             params[key] = value
-    if kind in ("r1_insert", "r2_insert"):
-        params["sign"] = params.get("sign", 1)
-    try:
-        return Move.of(kind, **params)
-    except MoveError:
-        raise
-    except Exception as err:  # missing keys etc.
-        raise MoveError(f"bad move line {line!r}: {err}") from None
+    return Move.of(kind, **params)
 
 
 def render_move(m: Move) -> str:
-    head = _KIND_TO_TEXT[m.kind]
-    out = [head]
+    roles = _ROLES[m.kind]
+    out = [_KIND_TO_TEXT[m.kind]]
     for key, value in m.params:
-        if key == "sign":
+        if roles.get(key) == "sign":
             value = "+" if value > 0 else "-"
         out.append(f"{key}={value}")
     return " ".join(out)
+
+
+def relabel_move(m: Move, ids=None, comp=None, arc=None) -> Move:
+    """The same move with its parameters mapped by role: crossing ids
+    through the mapping `ids`, components through `comp(c)`, and each arc
+    through `arc(c, a)`, c being the (unmapped) component named just
+    before it.  A map left None keeps its parameters."""
+    roles = _ROLES[m.kind]
+    out = []
+    c = None
+    for key, value in m.params:
+        role = roles.get(key)
+        if role == "comp":
+            c = value
+            if comp is not None:
+                value = comp(value)
+        elif role == "arc" and arc is not None:
+            value = arc(c, value)
+        elif role == "id" and ids is not None:
+            value = ids[value]
+        out.append((key, value))
+    return Move(m.kind, tuple(out))
 
 
 # -- application ---------------------------------------------------------
@@ -211,12 +227,15 @@ def _fresh_ids(d: GaussDiagram, count: int) -> list[int]:
     return [base + i + 1 for i in range(count)]
 
 
-def _adjacent(d: GaussDiagram, c: int, i: int, j: int) -> bool:
-    """Is endpoint j immediately after endpoint i on component c?"""
-    k = len(d.components[c])
-    if _is_cyclic(d, c):
+def _raw_adjacent(cyclic: bool, k: int, i: int, j: int) -> bool:
+    if cyclic:
         return k >= 2 and j == (i + 1) % k
     return j == i + 1
+
+
+def _adjacent(d: GaussDiagram, c: int, i: int, j: int) -> bool:
+    """Is endpoint j immediately after endpoint i on component c?"""
+    return _raw_adjacent(_is_cyclic(d, c), len(d.components[c]), i, j)
 
 
 # -- R1 ------------------------------------------------------------------
@@ -369,12 +388,6 @@ def _apply_r2_delete(d: GaussDiagram, m: Move):
     result = make_diagram(comps, signs, d.long)
     inv = Move.of("r2_insert", c1=oc, p=p, c2=uc, q=q, sign=sign, order=order)
     return result, inv
-
-
-def _raw_adjacent(cyclic: bool, k: int, i: int, j: int) -> bool:
-    if cyclic:
-        return k >= 2 and j == (i + 1) % k
-    return j == i + 1
 
 
 def _apply_r2_insert(d: GaussDiagram, m: Move):
@@ -674,21 +687,6 @@ _HANDLERS = {
     "birth": _apply_birth,
     "death": _apply_death,
 }
-
-
-# -- convenience wrappers ------------------------------------------------
-
-
-def saddle(d: GaussDiagram, c1: int, p: int, c2: int, q: int) -> GaussDiagram:
-    return apply_move(d, Move.of("saddle", c1=c1, p=p, c2=c2, q=q))
-
-
-def birth(d: GaussDiagram) -> GaussDiagram:
-    return apply_move(d, Move.of("birth"))
-
-
-def death(d: GaussDiagram, c: int) -> GaussDiagram:
-    return apply_move(d, Move.of("death", c=c))
 
 
 # -- enumeration ---------------------------------------------------------

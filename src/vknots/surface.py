@@ -198,14 +198,3 @@ def carter_report(d: GaussDiagram) -> CarterReport:
 def carter_genus(d: GaussDiagram) -> int:
     """Genus of the capped band surface, summed over connected pieces."""
     return carter_report(d).genus
-
-
-def genus_upper_bound(d: GaussDiagram, budget=None) -> int:
-    """Upper bound for virtual genus: best Carter genus over a budgeted
-    Reidemeister-move search frontier (the bound of the best diagram seen)."""
-    from .search import SearchBudget, reduce_diagram
-
-    if budget is None:
-        budget = SearchBudget.small()
-    _, bound = reduce_diagram(d, budget)
-    return bound

@@ -112,9 +112,16 @@ class TestIso:
         for _ in range(150):
             d = random_diagram(rng)
             res = canonicalize(d)
-            assert render_gauss(res.diagram) == res.key or (
-                res.key in ("", "L:", "()") and render_gauss(res.diagram) == res.key
-            )
+            iso, ids = res.iso, dict(res.iso.id_map)
+            comps = [()] * d.n_components
+            for i, seq in enumerate(d.components):
+                r = iso.rotations[i]
+                comps[iso.comp_perm[i]] = tuple(
+                    (ids[cid], role) for cid, role in seq[r:] + seq[:r]
+                )
+            signs = tuple(sorted((ids[cid], s) for cid, s in d.signs))
+            normal = GaussDiagram(tuple(comps), signs, d.long)
+            assert render_gauss(normal, relabel=False) == res.key
 
     def test_arc_round_trip(self, rng):
         for _ in range(150):

@@ -269,6 +269,11 @@ class TestTransports:
             assert validate_certificate(lifted, "concordance").ok
             assert lifted.start == k
             assert canonical_key(lifted.end) == canonical_key(parse_gauss("L:"))
+        # The lift onto the round diagram behind the empty strand shifts
+        # components, never crossing ids: r3's c names a crossing.
+        ref = parse_gauss("O1+O2+U3+U1+O3+U2+;()")
+        assert _shift_components(parse_move("r3 a=1 b=2 c=3"), ref)["c"] == 3
+        assert _shift_components(parse_move("death c=1"), ref)["c"] == 2
 
     def test_invalid_input_refused(self):
         text = KISHINO_CONCORDANCE.replace("death c=1", "birth")

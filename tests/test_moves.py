@@ -36,6 +36,21 @@ def _random_knot(rng, max_crossings=6):
     return parse_gauss("".join(tokens))
 
 
+def _enumerated_by_kind() -> dict[str, list[Move]]:
+    """Every move `enumerate_moves` yields on 20 seeded random diagrams,
+    by kind; the seed gives each kind at least one."""
+    rng = random.Random(17)
+    out: dict[str, list[Move]] = {}
+    for _ in range(20):
+        d = random_diagram(rng)
+        for m in enumerate_moves(d):
+            out.setdefault(m.kind, []).append(m)
+    return out
+
+
+ENUMERATED = _enumerated_by_kind()
+
+
 class TestMoveText:
     @pytest.mark.parametrize(
         "line",
@@ -52,9 +67,14 @@ class TestMoveText:
     )
     def test_round_trip(self, line):
         assert render_move(parse_move(line)) == line
+        enumerated = ENUMERATED.get(parse_move(line).kind, [])
+        assert enumerated
+        for m in enumerated:
+            assert parse_move(render_move(m)) == m
 
     @pytest.mark.parametrize(
-        "bad", ["r9 x=1", "r1-", "r1- x=a", "death", "r2- a=1", "saddle c1=0"]
+        "bad",
+        ["r9 x=1", "r1-", "r1- x=a", "death", "r2- a=1", "saddle c1=0", "r1- kind=3"],
     )
     def test_rejects(self, bad):
         with pytest.raises(MoveError):
