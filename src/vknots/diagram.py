@@ -62,12 +62,6 @@ class GaussDiagram:
     def writhe(self) -> int:
         return sum(s for _, s in self.signs)
 
-    @property
-    def strand(self) -> tuple[Endpoint, ...]:
-        if not self.long:
-            raise DiagramError("round diagram has no open strand")
-        return self.components[0]
-
     def arc_count(self, comp: int) -> int:
         """Number of arcs of a component.
 

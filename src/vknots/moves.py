@@ -12,6 +12,11 @@ Move kinds:
     birth       create a chordless circle
     death       delete a chordless circle
 
+Enumeration and application share one site finder per kind: `_sites`
+lists every pair of adjacent endpoints, and the r1 kinks, r2 pairs and
+r3 triangles that `enumerate_moves` offers are the ones the appliers
+accept, found by the same readers of that list.
+
 `PARAMS` lists each kind's parameters in text order and the role of
 each (a crossing id, a component, an arc, a sign or an endpoint order);
 `parse_move`, `render_move` and `relabel_move` all read them there.
@@ -39,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .diagram import OVER, UNDER, DiagramError, GaussDiagram, make_diagram
+from .diagram import OVER, UNDER, Endpoint, GaussDiagram, make_diagram
 
 # Each kind's parameters in text order, with the role of each:
 #   id     a crossing id
@@ -214,14 +219,6 @@ def _arc_of_slot(d_comp_len: int, cyclic: bool, slot: int) -> int:
     return (slot - 1) % d_comp_len
 
 
-def _endpoint_index(d: GaussDiagram) -> dict[tuple[int, int], tuple[int, int]]:
-    index = {}
-    for c, comp in enumerate(d.components):
-        for p, (cid, role) in enumerate(comp):
-            index[(cid, role)] = (c, p)
-    return index
-
-
 def _fresh_ids(d: GaussDiagram, count: int) -> list[int]:
     base = max(d.crossing_ids, default=0)
     return [base + i + 1 for i in range(count)]
@@ -233,30 +230,53 @@ def _raw_adjacent(cyclic: bool, k: int, i: int, j: int) -> bool:
     return j == i + 1
 
 
-def _adjacent(d: GaussDiagram, c: int, i: int, j: int) -> bool:
-    """Is endpoint j immediately after endpoint i on component c?"""
-    return _raw_adjacent(_is_cyclic(d, c), len(d.components[c]), i, j)
+# -- adjacency sites -----------------------------------------------------
+#
+# Every r1-, r2- and r3 pattern is made of sites: two endpoints, the
+# second immediately after the first on one component.
+
+
+def _sites(d: GaussDiagram) -> list[tuple[int, int, int, Endpoint, Endpoint]]:
+    """Every site (comp, i, j, e_i, e_j), in component and position
+    order: endpoint j immediately follows endpoint i on comp."""
+    out = []
+    for c, comp in enumerate(d.components):
+        k = len(comp)
+        if not _is_cyclic(d, c):
+            out.extend((c, i, i + 1, comp[i], comp[i + 1]) for i in range(k - 1))
+        elif k >= 2:
+            for i in range(k):
+                j = (i + 1) % k
+                out.append((c, i, j, comp[i], comp[j]))
+    return out
+
+
+def _check_crossing(d: GaussDiagram, x) -> None:
+    if x not in d._sign_map:
+        raise MoveError(f"no crossing {x}")
 
 
 # -- R1 ------------------------------------------------------------------
 
 
+def _r1_kinks(d: GaussDiagram) -> dict[int, tuple[int, int, str]]:
+    """Crossing id -> (comp, pos, order) for each crossing whose two
+    endpoints form a site starting at pos.  Where both orders are sites
+    (a circle holding only that crossing), OU wins."""
+    kinks = {}
+    for c, i, _, (x, role), (y, _) in _sites(d):
+        if x == y and (role == OVER or x not in kinks):
+            kinks[x] = (c, i, "OU" if role == OVER else "UO")
+    return kinks
+
+
 def _apply_r1_delete(d: GaussDiagram, m: Move):
     x = m["x"]
-    index = _endpoint_index(d)
-    if (x, OVER) not in index:
-        raise MoveError(f"no crossing {x}")
-    c_o, p_o = index[(x, OVER)]
-    c_u, p_u = index[(x, UNDER)]
-    if c_o != c_u:
-        raise MoveError(f"crossing {x} spans two components; not an r1 kink")
-    c = c_o
-    if _adjacent(d, c, p_o, p_u):
-        i, order = p_o, "OU"
-    elif _adjacent(d, c, p_u, p_o):
-        i, order = p_u, "UO"
-    else:
-        raise MoveError(f"endpoints of crossing {x} are not adjacent")
+    _check_crossing(d, x)
+    kink = _r1_kinks(d).get(x)
+    if kink is None:
+        raise MoveError(f"endpoints of crossing {x} are not adjacent; not an r1 kink")
+    c, i, order = kink
 
     comp = list(d.components[c])
     k = len(comp)
@@ -303,14 +323,24 @@ def _apply_r1_insert(d: GaussDiagram, m: Move):
 # -- R2 ------------------------------------------------------------------
 
 
-def _find_adjacent_pair(d: GaussDiagram, spots: list[tuple[int, int, int]]):
-    """Given the two located endpoints [(id, comp, pos), ...] check
-    adjacency in either order; returns (comp, first_pos, first_id)."""
-    (ida, ca, pa), (idb, cb, pb) = spots
-    if ca == cb and _adjacent(d, ca, pa, pb):
-        return ca, pa, ida
-    if ca == cb and _adjacent(d, cb, pb, pa):
-        return ca, pb, idb
+def _r2_pairs(d: GaussDiagram) -> tuple[dict, dict]:
+    """(over, under): each maps (first id, second id) -> (comp, pos) for
+    the sites whose endpoints are both over, respectively both under."""
+    over: dict[tuple[int, int], tuple[int, int]] = {}
+    under: dict[tuple[int, int], tuple[int, int]] = {}
+    for c, i, _, (x, rx), (y, ry) in _sites(d):
+        if rx == ry:
+            (over if rx == OVER else under)[(x, y)] = (c, i)
+    return over, under
+
+
+def _ordered_pair(pairs: dict, a: int, b: int):
+    """(comp, first pos, first id) of the site on {a, b}, trying (a, b)
+    before (b, a); None if neither is a site."""
+    if (a, b) in pairs:
+        return (*pairs[(a, b)], a)
+    if (b, a) in pairs:
+        return (*pairs[(b, a)], b)
     return None
 
 
@@ -318,18 +348,13 @@ def _apply_r2_delete(d: GaussDiagram, m: Move):
     a, b = m["a"], m["b"]
     if a == b:
         raise MoveError("r2_delete needs two distinct crossings")
-    index = _endpoint_index(d)
     for x in (a, b):
-        if (x, OVER) not in index:
-            raise MoveError(f"no crossing {x}")
+        _check_crossing(d, x)
     if d.sign_of(a) != -d.sign_of(b):
         raise MoveError(f"crossings {a},{b} do not have opposite signs")
-    over = _find_adjacent_pair(
-        d, [(a, *index[(a, OVER)]), (b, *index[(b, OVER)])]
-    )
-    under = _find_adjacent_pair(
-        d, [(a, *index[(a, UNDER)]), (b, *index[(b, UNDER)])]
-    )
+    over_pairs, under_pairs = _r2_pairs(d)
+    over = _ordered_pair(over_pairs, a, b)
+    under = _ordered_pair(under_pairs, a, b)
     if over is None or under is None:
         raise MoveError(f"crossings {a},{b} do not form an r2 pattern")
     oc, opos, first_over = over
@@ -438,77 +463,55 @@ def _apply_r2_insert(d: GaussDiagram, m: Move):
 # -- R3 ------------------------------------------------------------------
 
 
-def _r3_triangles(d: GaussDiagram, ids: tuple[int, int, int] | None = None):
-    """Yield legal r3 triangles as triples of adjacency sites.
+def _r3_triangles(d: GaussDiagram, ids: tuple[int, int, int] | None = None) -> list:
+    """Legal r3 triangles as (sorted crossing ids, triple of sites), the
+    triples in site order.
 
-    A site is (comp, first_pos, (id_i, role_i), (id_j, role_j)).  The
-    three sites are position-disjoint, cover three distinct crossings
-    twice each, show the profile {both-over, both-under, mixed}, and
-    satisfy the sign/orientation compatibility test (_r3_legal): only
-    such triangles bound an embedded disk a strand can slide across.
-    Swapping an incompatible triangle is a forbidden move and changes
-    the underlying knot, so those triples are never offered.
+    A triangle is a both-over site A, a mixed site B and a both-under
+    site C, position-disjoint and covering three distinct crossings twice
+    each: A and C share exactly one crossing and B joins the other two.
+    It must also pass the sign/orientation compatibility test
+    (_r3_legal): only such triangles bound an embedded disk a strand can
+    slide across.  Swapping an incompatible triangle is a forbidden move
+    and changes the underlying knot, so those triples are never offered.
+    With `ids`, only the triangles on exactly those three crossings.
     """
-    wanted = set(ids) if ids is not None else None
-    sites = []
-    for c, comp in enumerate(d.components):
-        k = len(comp)
-        if k < 2:
+    sites = _sites(d)
+    if ids is not None:
+        sites = [s for s in sites if s[3][0] in ids and s[4][0] in ids]
+    unders: dict[int, list[int]] = {}
+    mixed: dict[frozenset, list[int]] = {}
+    for n, (_, _, _, (x, rx), (y, ry)) in enumerate(sites):
+        if rx != ry:
+            mixed.setdefault(frozenset((x, y)), []).append(n)
+        elif rx == UNDER:
+            unders.setdefault(x, []).append(n)
+            unders.setdefault(y, []).append(n)
+    found = []
+    for n, a in enumerate(sites):
+        (x, rx), (y, ry) = a[3], a[4]
+        if rx != OVER or ry != OVER:
             continue
-        pairs: Iterable[tuple[int, int]]
-        if _is_cyclic(d, c):
-            pairs = ((i, (i + 1) % k) for i in range(k))
-        else:
-            pairs = ((i, i + 1) for i in range(k - 1))
-        for i, j in pairs:
-            e1, e2 = comp[i], comp[j]
-            if e1[0] == e2[0]:
-                continue
-            if wanted is not None and not {e1[0], e2[0]} <= wanted:
-                continue
-            sites.append((c, i, e1, e2))
-
-    def profile(site):
-        roles = (site[2][1], site[3][1])
-        if roles == (OVER, OVER):
-            return "OO"
-        if roles == (UNDER, UNDER):
-            return "UU"
-        return "M"
-
-    n = len(sites)
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(y + 1, n):
-                triple = (sites[x], sites[y], sites[z])
-                counts: dict[int, int] = {}
-                for site in triple:
-                    counts[site[2][0]] = counts.get(site[2][0], 0) + 1
-                    counts[site[3][0]] = counts.get(site[3][0], 0) + 1
-                if len(counts) != 3 or set(counts.values()) != {2}:
+        for shared, p in ((x, y), (y, x)):
+            for t in unders.get(shared, ()):
+                (u1, _), (u2, _) = sites[t][3], sites[t][4]
+                r = u2 if u1 == shared else u1
+                if r == p:
                     continue
-                if sorted(profile(s) for s in triple) != ["M", "OO", "UU"]:
-                    continue
-                if not _sites_disjoint(d, triple):
-                    continue
-                if not _r3_legal(d, triple):
-                    continue
-                yield triple
+                for u in mixed.get(frozenset((p, r)), ()):
+                    b, c = sites[u], sites[t]
+                    if _sites_disjoint((a, b, c)) and _r3_legal(d, a, b, c):
+                        key = tuple(sorted((n, t, u)))
+                        found.append((key, tuple(sorted((x, y, r)))))
+    found.sort()
+    return [(tri, tuple(sites[k] for k in key)) for key, tri in found]
 
 
-def _sites_disjoint(d: GaussDiagram, triple) -> bool:
-    used: set[tuple[int, int]] = set()
-    for c, i, _, _ in triple:
-        k = len(d.components[c])
-        j = (i + 1) % k if _is_cyclic(d, c) else i + 1
-        if (c, i) in used or (c, j) in used:
-            return False
-        used.add((c, i))
-        used.add((c, j))
-    return True
+def _sites_disjoint(triple) -> bool:
+    return len({(c, p) for c, i, j, _, _ in triple for p in (i, j)}) == 6
 
 
-def _r3_legal(d: GaussDiagram, triple) -> bool:
+def _r3_legal(d: GaussDiagram, a, b, c) -> bool:
     """Sign/orientation compatibility of an r3 triangle.
 
     Realize the triangle by three transverse strands: A over at both of
@@ -524,25 +527,15 @@ def _r3_legal(d: GaussDiagram, triple) -> bool:
 
     (both sides of the move satisfy it: the swap flips all three order
     bits and keeps signs).  The 48 incompatible patterns are forbidden
-    moves and must be rejected.
+    moves and must be rejected.  The sites a, b, c are A, B, C.
     """
-    by_profile = {}
-    for site in triple:
-        roles = (site[2][1], site[3][1])
-        if roles == (OVER, OVER):
-            by_profile["A"] = site
-        elif roles == (UNDER, UNDER):
-            by_profile["C"] = site
-        else:
-            by_profile["B"] = site
-    a, b, c = by_profile["A"], by_profile["B"], by_profile["C"]
-    ids = lambda s: {s[2][0], s[3][0]}
+    ids = lambda s: {s[3][0], s[4][0]}
     ab = (ids(a) & ids(b)).pop()
     ac = (ids(a) & ids(c)).pop()
     bc = (ids(b) & ids(c)).pop()
-    o_a = 1 if a[2][0] == ab else -1
-    o_b = 1 if b[2][0] == ab else -1
-    o_c = 1 if c[2][0] == ac else -1
+    o_a = 1 if a[3][0] == ab else -1
+    o_b = 1 if b[3][0] == ab else -1
+    o_c = 1 if c[3][0] == ac else -1
     return (
         d.sign_of(ab) * o_a * o_b
         == d.sign_of(ac) * o_a * o_c
@@ -554,17 +547,13 @@ def _apply_r3(d: GaussDiagram, m: Move):
     ids = (m["a"], m["b"], m["c"])
     if len(set(ids)) != 3:
         raise MoveError("r3 needs three distinct crossings")
-    index = _endpoint_index(d)
     for x in ids:
-        if (x, OVER) not in index:
-            raise MoveError(f"no crossing {x}")
-    triple = next(iter(_r3_triangles(d, ids)), None)
-    if triple is None:
+        _check_crossing(d, x)
+    triangles = _r3_triangles(d, ids)
+    if not triangles:
         raise MoveError(f"crossings {ids} do not form an r3 triangle")
     comps = [list(x) for x in d.components]
-    for c, i, _, _ in triple:
-        k = len(d.components[c])
-        j = (i + 1) % k if _is_cyclic(d, c) else i + 1
+    for c, i, j, _, _ in triangles[0][1]:
         comps[c][i], comps[c][j] = comps[c][j], comps[c][i]
     result = make_diagram(comps, dict(d.signs), d.long)
     return result, m
@@ -725,46 +714,23 @@ def enumerate_moves(
     return out
 
 
-def _enum_r1_delete(d: GaussDiagram) -> Iterator[Move]:
-    index = _endpoint_index(d)
-    for cid in d.crossing_ids:
-        c_o, p_o = index[(cid, OVER)]
-        c_u, p_u = index[(cid, UNDER)]
-        if c_o == c_u and (
-            _adjacent(d, c_o, p_o, p_u) or _adjacent(d, c_o, p_u, p_o)
-        ):
-            yield Move.of("r1_delete", x=cid)
+def _enum_r1_delete(d: GaussDiagram) -> list[Move]:
+    return [Move.of("r1_delete", x=x) for x in sorted(_r1_kinks(d))]
 
 
-def _enum_r2_delete(d: GaussDiagram) -> Iterator[Move]:
-    index = _endpoint_index(d)
-    ids = d.crossing_ids
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if d.sign_of(a) != -d.sign_of(b):
-                continue
-            over = _find_adjacent_pair(
-                d, [(a, *index[(a, OVER)]), (b, *index[(b, OVER)])]
-            )
-            under = _find_adjacent_pair(
-                d, [(a, *index[(a, UNDER)]), (b, *index[(b, UNDER)])]
-            )
-            if over is not None and under is not None:
-                yield Move.of("r2_delete", a=a, b=b)
+def _enum_r2_delete(d: GaussDiagram) -> list[Move]:
+    over, under = _r2_pairs(d)
+    found = {(min(k), max(k)) for k in over if k in under or k[::-1] in under}
+    return [
+        Move.of("r2_delete", a=a, b=b)
+        for a, b in sorted(found)
+        if d.sign_of(a) == -d.sign_of(b)
+    ]
 
 
-def _enum_r3(d: GaussDiagram) -> Iterator[Move]:
-    seen: set[tuple[int, int, int]] = set()
-    for triple in _r3_triangles(d):
-        ids = set()
-        for site in triple:
-            ids.add(site[2][0])
-            ids.add(site[3][0])
-        key = tuple(sorted(ids))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield Move.of("r3", a=key[0], b=key[1], c=key[2])
+def _enum_r3(d: GaussDiagram) -> list[Move]:
+    first_found = dict.fromkeys(ids for ids, _ in _r3_triangles(d))
+    return [Move.of("r3", a=a, b=b, c=c) for a, b, c in first_found]
 
 
 def _all_arcs(d: GaussDiagram) -> list[tuple[int, int]]:

@@ -276,7 +276,14 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
     diagram is parsed from its key when the state is popped for
     expansion, paths are reconstructed through parent pointers, and a
     found path is translated back onto the input diagram's own replay
-    line, which keeps memory per state small."""
+    line, which keeps memory per state small.
+
+    The source paper's main theorem: a classical knot is virtually slice
+    if and only if it is classically slice.  So for a classical input a
+    classical concordance obstruction proves that no certificate exists
+    at any budget.  This search finds certificates only: "exhausted"
+    still means exhausted within the budget's caps, never a proof that
+    the knot is not slice."""
     if d.long:
         raise DiagramError("search_slice needs a round diagram")
     if d.n_components != 1:

@@ -232,35 +232,37 @@ class TestClassTracking:
 
 
 class TestTransports:
-    def _long_unknot_certificate(self, rng, steps=4):
-        """A validating concordance from a random long diagram to L: built
-        by inverting a random insertion walk."""
-        diagrams, _, inverses = random_walk(
-            parse_gauss("L:"), rng, steps, {"r1_insert", "r2_insert", "r3"}
-        )
-        start = diagrams[-1]
-        back = tuple(reversed(inverses))
-        # replay the inverses in order: inverses[i] undoes moves[i]
-        cur = start
-        ordered = []
-        for inv in reversed(inverses):
-            cur = apply_move(cur, inv)
-            ordered.append(inv)
-        cert = CobordismCertificate(start, tuple(ordered), parse_gauss("L:"))
-        assert validate_certificate(cert, "concordance").ok
-        return cert
+    def _long_unknot_certificates(self, rng, count=10, steps=4):
+        """Validating concordances from random long diagrams to L:.
+
+        Each starts at the end of a random insertion walk from L:, takes a
+        second walk of insertions and r3 from there, with room for two more
+        crossings, then undoes both walks with their exact inverses.
+        Between them the certificates use every Reidemeister kind."""
+        kinds = {"r1_insert", "r2_insert", "r3"}
+        certs = []
+        for _ in range(count):
+            first, _, undo_first = random_walk(parse_gauss("L:"), rng, steps, kinds)
+            start = first[-1]
+            _, there, undo_there = random_walk(
+                start, rng, steps, kinds, max_crossings=10
+            )
+            path = tuple(there) + tuple(reversed(undo_first + undo_there))
+            cert = CobordismCertificate(start, path, parse_gauss("L:"))
+            assert validate_certificate(cert, "concordance").ok
+            certs.append(cert)
+        assert {m.kind for cert in certs for m in cert.steps} == R_KINDS
+        return certs
 
     def test_long_to_closure_preserves_counters(self, rng):
-        for _ in range(10):
-            cert = self._long_unknot_certificate(rng)
+        for cert in self._long_unknot_certificates(rng):
             closed = transport_long_to_closure(cert)
             assert closed.counters() == cert.counters()
             assert validate_certificate(closed, "concordance").ok
             assert canonical_key(closed.start) == canonical_key(closure(cert.start))
 
     def test_closure_to_long_shifts_counters(self, rng):
-        for _ in range(10):
-            cert = self._long_unknot_certificate(rng)
+        for cert in self._long_unknot_certificates(rng):
             k = cert.start
             round_cert = transport_long_to_closure(cert)
             lifted = transport_closure_to_long(round_cert, k)

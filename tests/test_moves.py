@@ -1,6 +1,7 @@
 """Move parsing, application, enumeration, and exact inverses."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,7 @@ from vknots import (
     render_move,
 )
 
-from .conftest import KISHINO, TREFOIL, random_diagram, random_walk
+from .conftest import CORPUS, KISHINO, TREFOIL, random_diagram, random_walk
 from .oracles import odd_writhe_oracle
 
 R_KINDS = {"r1_delete", "r1_insert", "r2_delete", "r2_insert", "r3"}
@@ -195,6 +196,33 @@ class TestEnumerate:
             a = [render_move(m) for m in enumerate_moves(d, kinds=ALL)]
             b = [render_move(m) for m in enumerate_moves(d, kinds=ALL)]
             assert a == b
+
+    @pytest.mark.parametrize("kind", ["r1_delete", "r2_delete", "r3"])
+    def test_enumeration_is_what_applies(self, kind, rng):
+        """`enumerate_moves` yields exactly the moves of a kind that
+        `apply_move` accepts among all those naming the diagram's
+        crossings in increasing id order: r1- and r2- in that order, r3
+        as a set."""
+        diagrams = [parse_gauss(text) for text in CORPUS]
+        diagrams += [random_diagram(rng, max_crossings=6) for _ in range(400)]
+        names = {"r1_delete": "x", "r2_delete": "ab", "r3": "abc"}[kind]
+        total = 0
+        for d in diagrams:
+            accepted = []
+            for ids in combinations(d.crossing_ids, len(names)):
+                m = Move.of(kind, **dict(zip(names, ids)))
+                try:
+                    apply_move(d, m)
+                except MoveError:
+                    continue
+                accepted.append(m)
+            enumerated = enumerate_moves(d, kinds={kind})
+            if kind == "r3":
+                assert set(enumerated) == set(accepted), render_gauss(d)
+            else:
+                assert enumerated == accepted, render_gauss(d)
+            total += len(accepted)
+        assert total >= 40
 
     def test_unknot_has_no_deletions(self):
         d = parse_gauss("()")
