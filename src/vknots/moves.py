@@ -15,7 +15,8 @@ Move kinds:
 Enumeration and application share one site finder per kind: `_sites`
 lists every pair of adjacent endpoints, and the r1 kinks, r2 pairs and
 r3 triangles that `enumerate_moves` offers are the ones the appliers
-accept, found by the same readers of that list.
+accept, found by the same readers of that list.  `enumerate_moves`
+builds the list once and hands it to all three readers.
 
 `PARAMS` lists each kind's parameters in text order and the role of
 each (a crossing id, a component, an arc, a sign or an endpoint order);
@@ -259,12 +260,12 @@ def _check_crossing(d: GaussDiagram, x) -> None:
 # -- R1 ------------------------------------------------------------------
 
 
-def _r1_kinks(d: GaussDiagram) -> dict[int, tuple[int, int, str]]:
+def _r1_kinks(sites: list) -> dict[int, tuple[int, int, str]]:
     """Crossing id -> (comp, pos, order) for each crossing whose two
-    endpoints form a site starting at pos.  Where both orders are sites
-    (a circle holding only that crossing), OU wins."""
+    endpoints form one of `sites`, starting at pos.  Where both orders
+    are sites (a circle holding only that crossing), OU wins."""
     kinks = {}
-    for c, i, _, (x, role), (y, _) in _sites(d):
+    for c, i, _, (x, role), (y, _) in sites:
         if x == y and (role == OVER or x not in kinks):
             kinks[x] = (c, i, "OU" if role == OVER else "UO")
     return kinks
@@ -273,7 +274,7 @@ def _r1_kinks(d: GaussDiagram) -> dict[int, tuple[int, int, str]]:
 def _apply_r1_delete(d: GaussDiagram, m: Move):
     x = m["x"]
     _check_crossing(d, x)
-    kink = _r1_kinks(d).get(x)
+    kink = _r1_kinks(_sites(d)).get(x)
     if kink is None:
         raise MoveError(f"endpoints of crossing {x} are not adjacent; not an r1 kink")
     c, i, order = kink
@@ -323,12 +324,12 @@ def _apply_r1_insert(d: GaussDiagram, m: Move):
 # -- R2 ------------------------------------------------------------------
 
 
-def _r2_pairs(d: GaussDiagram) -> tuple[dict, dict]:
+def _r2_pairs(sites: list) -> tuple[dict, dict]:
     """(over, under): each maps (first id, second id) -> (comp, pos) for
-    the sites whose endpoints are both over, respectively both under."""
+    the `sites` whose endpoints are both over, respectively both under."""
     over: dict[tuple[int, int], tuple[int, int]] = {}
     under: dict[tuple[int, int], tuple[int, int]] = {}
-    for c, i, _, (x, rx), (y, ry) in _sites(d):
+    for c, i, _, (x, rx), (y, ry) in sites:
         if rx == ry:
             (over if rx == OVER else under)[(x, y)] = (c, i)
     return over, under
@@ -352,7 +353,7 @@ def _apply_r2_delete(d: GaussDiagram, m: Move):
         _check_crossing(d, x)
     if d.sign_of(a) != -d.sign_of(b):
         raise MoveError(f"crossings {a},{b} do not have opposite signs")
-    over_pairs, under_pairs = _r2_pairs(d)
+    over_pairs, under_pairs = _r2_pairs(_sites(d))
     over = _ordered_pair(over_pairs, a, b)
     under = _ordered_pair(under_pairs, a, b)
     if over is None or under is None:
@@ -463,9 +464,11 @@ def _apply_r2_insert(d: GaussDiagram, m: Move):
 # -- R3 ------------------------------------------------------------------
 
 
-def _r3_triangles(d: GaussDiagram, ids: tuple[int, int, int] | None = None) -> list:
-    """Legal r3 triangles as (sorted crossing ids, triple of sites), the
-    triples in site order.
+def _r3_triangles(
+    d: GaussDiagram, sites: list, ids: tuple[int, int, int] | None = None
+) -> list:
+    """Legal r3 triangles of `d` among its `sites`, as (sorted crossing
+    ids, triple of sites), the triples in site order.
 
     A triangle is a both-over site A, a mixed site B and a both-under
     site C, position-disjoint and covering three distinct crossings twice
@@ -476,7 +479,6 @@ def _r3_triangles(d: GaussDiagram, ids: tuple[int, int, int] | None = None) -> l
     and changes the underlying knot, so those triples are never offered.
     With `ids`, only the triangles on exactly those three crossings.
     """
-    sites = _sites(d)
     if ids is not None:
         sites = [s for s in sites if s[3][0] in ids and s[4][0] in ids]
     unders: dict[int, list[int]] = {}
@@ -549,7 +551,7 @@ def _apply_r3(d: GaussDiagram, m: Move):
         raise MoveError("r3 needs three distinct crossings")
     for x in ids:
         _check_crossing(d, x)
-    triangles = _r3_triangles(d, ids)
+    triangles = _r3_triangles(d, _sites(d), ids)
     if not triangles:
         raise MoveError(f"crossings {ids} do not form an r3 triangle")
     comps = [list(x) for x in d.components]
@@ -695,12 +697,13 @@ def enumerate_moves(
     if unknown:
         raise MoveError(f"unknown move kinds {sorted(unknown)}")
     out: list[Move] = []
+    sites = _sites(d)
     if "r1_delete" in kinds:
-        out.extend(_enum_r1_delete(d))
+        out.extend(_enum_r1_delete(sites))
     if "r2_delete" in kinds:
-        out.extend(_enum_r2_delete(d))
+        out.extend(_enum_r2_delete(d, sites))
     if "r3" in kinds:
-        out.extend(_enum_r3(d))
+        out.extend(_enum_r3(d, sites))
     if "r1_insert" in kinds:
         out.extend(_enum_r1_insert(d))
     if "r2_insert" in kinds:
@@ -714,12 +717,12 @@ def enumerate_moves(
     return out
 
 
-def _enum_r1_delete(d: GaussDiagram) -> list[Move]:
-    return [Move.of("r1_delete", x=x) for x in sorted(_r1_kinks(d))]
+def _enum_r1_delete(sites: list) -> list[Move]:
+    return [Move.of("r1_delete", x=x) for x in sorted(_r1_kinks(sites))]
 
 
-def _enum_r2_delete(d: GaussDiagram) -> list[Move]:
-    over, under = _r2_pairs(d)
+def _enum_r2_delete(d: GaussDiagram, sites: list) -> list[Move]:
+    over, under = _r2_pairs(sites)
     found = {(min(k), max(k)) for k in over if k in under or k[::-1] in under}
     return [
         Move.of("r2_delete", a=a, b=b)
@@ -728,8 +731,8 @@ def _enum_r2_delete(d: GaussDiagram) -> list[Move]:
     ]
 
 
-def _enum_r3(d: GaussDiagram) -> list[Move]:
-    first_found = dict.fromkeys(ids for ids, _ in _r3_triangles(d))
+def _enum_r3(d: GaussDiagram, sites: list) -> list[Move]:
+    first_found = dict.fromkeys(ids for ids, _ in _r3_triangles(d, sites))
     return [Move.of("r3", a=a, b=b, c=c) for a, b, c in first_found]
 
 

@@ -24,6 +24,13 @@ keys, and a diagram is parsed back from its key only when the state is
 popped for expansion (most admitted states never are) or lies on the
 chain a found certificate is rebuilt from.
 
+A parent pointer names the move that made its state by the move's index
+in the parent's enumeration, not by a `Move`: enumeration is
+deterministic, so a found chain is rebuilt by enumerating again the few
+diagrams on it.  Small tuples (cobordism counters, dedup vectors,
+surface partitions) take only a handful of distinct values, and each
+search shares one tuple per value among its states.
+
 States are deduplicated on (canonical key, spent cobordism counters,
 depth) with dominance: a state is skipped when an already-visited state
 has the same key and componentwise smaller-or-equal counters and depth,
@@ -46,7 +53,9 @@ each search its frontier payload, keying, admission and goal test.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .canonical import canonical_key, key_and_order
@@ -116,12 +125,19 @@ class _Dedup:
 
     A path of length L expands L distinct prefixes, so when max_depth >=
     max_nodes the depth cap can never bind and depth is dropped from the
-    vector, collapsing depth variants."""
+    vector, collapsing depth variants.  `share` keeps one tuple per
+    distinct value for the whole search, for the vectors and for any
+    other small tuple its states repeat."""
 
     def __init__(self, budget: SearchBudget):
         self.track_depth = budget.max_depth < budget.max_nodes
         self.table: dict[str, list[tuple[int, int, int, int]]] = {}
+        self.tuples: dict[tuple, tuple] = {}
         self.hits = 0
+
+    def share(self, t: tuple) -> tuple:
+        """The one tuple equal to `t` that this search keeps."""
+        return self.tuples.setdefault(t, t)
 
     def admit(self, key: str, spent: tuple[int, int, int], depth: int) -> bool:
         vec = (*spent, depth if self.track_depth else 0)
@@ -131,7 +147,7 @@ class _Dedup:
                 self.hits += 1
                 return False
         entries[:] = [e for e in entries if not all(n <= o for o, n in zip(e, vec))]
-        entries.append(vec)
+        entries.append(self.share(vec))
         return True
 
 
@@ -142,8 +158,18 @@ def _partition_tag(classes: tuple[int, ...]) -> str:
     return "|" + ",".join(map(str, classes))
 
 
+_COST = {"saddle": (1, 0, 0), "birth": (0, 1, 0), "death": (0, 0, 1)}
+
+
+def _spend(spent: tuple[int, int, int], kind: str) -> tuple[int, int, int]:
+    """The cobordism counters after a move of `kind`: the same tuple
+    after an R-move."""
+    cost = _COST.get(kind)
+    return spent if cost is None else tuple(x + y for x, y in zip(spent, cost))
+
+
 def _chain(parents: dict, sq: int) -> list[tuple]:
-    """The parent records (parent seq, move, ...) from a root to state `sq`."""
+    """The parent records (parent seq, move index, ...) from a root to `sq`."""
     out = []
     while sq in parents:
         out.append(parents[sq])
@@ -221,20 +247,12 @@ class _BestFirst:
                 if entry[2] < budget.max_depth:
                     yield side, entry
 
-    def children(
-        self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0),
-        classes: tuple[int, ...] = (),
-    ) -> list[tuple[Move, GaussDiagram, tuple[int, ...]]]:
-        """(move, child, classes) for each move allowed from `diag` at
-        cobordism counters `spent` whose result stays within the caps, in
-        enumeration order.
-
-        In a cobordism search `classes` labels the surface piece of each
-        component of `diag` and is carried across the move; a move that
-        closes off a piece is dropped.  The caller keys each child once
-        with `key_and_order`: applying every move before keying any child
-        ran 5-10% faster on the slice searches than applying and keying
-        in turn, lazily or not (CPython 3.11, 2-core Xeon VM)."""
+    def kinds(
+        self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0)
+    ) -> set[str]:
+        """The move kinds expanded from `diag` at cobordism counters
+        `spent`: insertions while they fit the crossing cap, and in a
+        cobordism search each cobordism move while the budget allows it."""
         cap_n, cap_c = self.cap_n, self.cap_c
         kinds = {"r1_delete", "r2_delete", "r3"}
         if diag.n_crossings + 1 <= cap_n:
@@ -249,8 +267,35 @@ class _BestFirst:
                 kinds.add("birth")
             if dd < self.budget.max_deaths:
                 kinds.add("death")
+        return kinds
+
+    def move(
+        self, diag: GaussDiagram, index: int,
+        spent: tuple[int, int, int] = (0, 0, 0),
+    ) -> Move:
+        """The move that `children` numbered `index` from `diag` at
+        `spent`, read off the enumeration by iteration."""
+        moves = enumerate_moves(diag, kinds=self.kinds(diag, spent))
+        return next(itertools.islice(moves, index, None))
+
+    def children(
+        self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0),
+        classes: tuple[int, ...] = (),
+    ) -> list[tuple[int, Move, GaussDiagram, tuple[int, ...]]]:
+        """(index, move, child, classes) for each move allowed from `diag`
+        at cobordism counters `spent` whose result stays within the caps,
+        in enumeration order; index is the move's position in the
+        enumeration of `kinds(diag, spent)`.
+
+        In a cobordism search `classes` labels the surface piece of each
+        component of `diag` and is carried across the move; a move that
+        closes off a piece is dropped.  The caller keys each child once
+        with `key_and_order`: applying every move before keying any child
+        ran 5-10% faster on the slice searches than applying and keying
+        in turn, lazily or not (CPython 3.11, 2-core Xeon VM)."""
+        cap_n, cap_c = self.cap_n, self.cap_c
         out = []
-        for m in enumerate_moves(diag, kinds=kinds):
+        for i, m in enumerate(enumerate_moves(diag, kinds=self.kinds(diag, spent))):
             try:
                 child = apply_move(diag, m)
             except MoveError:
@@ -262,7 +307,7 @@ class _BestFirst:
                 child_classes, closed = advance_classes(classes, m, diag)
                 if closed:
                     continue  # would disconnect the cobordism surface
-            out.append((m, child, child_classes))
+            out.append((i, m, child, child_classes))
         return out
 
 
@@ -294,15 +339,20 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
     if root_key == goal_key:
         return run.outcome(CobordismCertificate(d, (), parse_gauss("()")), 0)
 
-    parents: dict[int, tuple[int, Move, str]] = {}  # seq -> (parent, move, key)
+    parents: dict[int, tuple[int, int, str]] = {}  # seq -> (parent, index, key)
 
-    def certificate(final_seq: int, last_move: Move) -> CobordismCertificate:
+    def certificate(final_seq: int, last_index: int) -> CobordismCertificate:
         chain = _chain(parents, final_seq)
         keys = [root_key] + [key for _, _, key in chain] + [goal_key]
-        # canonical keys parse back to the canonical normal form
+        # canonical keys parse back to the canonical normal form, which
+        # is the diagram each state on the chain was expanded from
         refs = [parse_gauss(key) for key in keys]
-        steps = tuple(move for _, move, _ in chain) + (last_move,)
-        translated = _translate_steps(refs, steps, d)
+        steps = []
+        spent = (0, 0, 0)
+        for ref, index in zip(refs, [i for _, i, _ in chain] + [last_index]):
+            steps.append(run.move(ref, index, spent))
+            spent = _spend(spent, steps[-1].kind)
+        translated = _translate_steps(refs, tuple(steps), d)
         return CobordismCertificate(d, tuple(translated), parse_gauss("()"))
 
     dedup = _Dedup(budget)
@@ -311,17 +361,12 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
     run.push(0, d, 0, root_key, (0, 0, 0), (0,))
     for _, (_, sq, depth, key, spent, classes) in run.states():
         diag = parse_gauss(key)
-        for m, child, raw_classes in run.children(diag, spent, classes):
+        for index, m, child, raw_classes in run.children(diag, spent, classes):
             child_key, order = key_and_order(child)
-            s, b, dd = spent
-            if m.kind == "saddle":
-                s += 1
-            elif m.kind == "birth":
-                b += 1
-            elif m.kind == "death":
-                dd += 1
+            child_spent = _spend(spent, m.kind)
+            s, b, dd = child_spent
             if child_key == goal_key and s == b + dd:
-                return run.outcome(certificate(sq, m), dedup.hits)
+                return run.outcome(certificate(sq, index), dedup.hits)
             # the partition in canonical component order, relabeled by
             # first appearance so it is isomorphism-invariant
             relabel: dict[int, int] = {}
@@ -329,10 +374,13 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
                 relabel.setdefault(raw_classes[i], len(relabel)) for i in order
             )
             tag = _partition_tag(child_classes)
-            if not dedup.admit(child_key + tag, (s, b, dd), depth + 1):
+            if not dedup.admit(child_key + tag, child_spent, depth + 1):
                 continue
-            seq = run.push(0, child, depth + 1, child_key, (s, b, dd), child_classes)
-            parents[seq] = (sq, m, child_key)
+            seq = run.push(
+                0, child, depth + 1, child_key,
+                dedup.share(child_spent), dedup.share(child_classes),
+            )
+            parents[seq] = (sq, index, child_key)
     return run.outcome(None, dedup.hits)
 
 
@@ -356,42 +404,45 @@ def search_equivalent(
     # payload: the state's diagram; visited[side]: key -> seq of the
     # state on that side, whose path is read back through `parents`
     visited = ({key_a: run.push(0, a, 0, a)}, {key_b: run.push(1, b, 0, b)})
-    parents: dict[int, tuple[int, Move]] = {}  # seq -> (parent, move)
+    parents: dict[int, tuple[int, int]] = {}  # seq -> (parent, index)
     hits = 0
     for side, (_, sq, depth, diag) in run.states():
-        for m, child, _ in run.children(diag):
+        for index, _, child, _ in run.children(diag):
             key = key_and_order(child)[0]
             if key in visited[side]:
                 hits += 1
                 continue
             if key in visited[1 - side]:
-                here = [move for _, move in _chain(parents, sq)] + [m]
-                there = [move for _, move in _chain(parents, visited[1 - side][key])]
+                here = [i for _, i in _chain(parents, sq)] + [index]
+                there = [i for _, i in _chain(parents, visited[1 - side][key])]
                 path_a, path_b = (here, there) if side == 0 else (there, here)
-                return run.outcome(_splice(a, b, path_a, path_b), hits)
+                return run.outcome(_splice(a, b, path_a, path_b, run.move), hits)
             seq = visited[side][key] = run.push(side, child, depth + 1, child)
-            parents[seq] = (sq, m)
+            parents[seq] = (sq, index)
     return run.outcome(None, hits)
 
 
 def _splice(
-    a: GaussDiagram, b: GaussDiagram, path_a: list[Move], path_b: list[Move]
+    a: GaussDiagram, b: GaussDiagram, path_a: list[int], path_b: list[int],
+    move: Callable[[GaussDiagram, int], Move],
 ) -> CobordismCertificate:
     """Join the half-paths from a and from b to one meeting state into
-    one a-to-b certificate."""
-    meet = a
-    for m in path_a:
-        meet = apply_move(meet, m)
+    one a-to-b certificate.  A path lists move indices; `move(diag,
+    index)` names the move each one stands for from the diagram reached."""
+    meet, steps = a, []
+    for index in path_a:
+        steps.append(move(meet, index))
+        meet = apply_move(meet, steps[-1])
     # Reverse the b-side path: replay it collecting exact inverses.
     chain = [b]
     invs = []
-    for m in path_b:
-        nxt, inv = apply_move_with_inverse(chain[-1], m)
+    for index in path_b:
+        nxt, inv = apply_move_with_inverse(chain[-1], move(chain[-1], index))
         chain.append(nxt)
         invs.append(inv)
     # Reversed reference line runs from the meeting state back to b.
     translated = _translate_steps(chain[::-1], tuple(invs[::-1]), meet)
-    return CobordismCertificate(a, tuple(path_a) + tuple(translated), b)
+    return CobordismCertificate(a, tuple(steps) + tuple(translated), b)
 
 
 # -- crossing reduction --------------------------------------------------
@@ -418,7 +469,7 @@ def reduce_diagram(
     run.push(0, d, 0, d)  # payload: the state's diagram
     # No early stop: the best diagram seen improves until the last node.
     for _, (_, _, depth, diag) in run.states(stop_when_overfull=False):
-        for _, child, _ in run.children(diag):
+        for _, _, child, _ in run.children(diag):
             key = key_and_order(child)[0]
             if not dedup.admit(key, (0, 0, 0), depth + 1):
                 continue

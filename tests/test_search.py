@@ -1,5 +1,7 @@
 """Budgeted search: slice, equivalence, reduce."""
 
+import tracemalloc
+
 import pytest
 
 from vknots import (
@@ -7,8 +9,12 @@ from vknots import (
     SearchBudget,
     canonical_key,
     carter_genus,
+    closure,
+    connected_sum,
+    inverse,
     parse_gauss,
     reduce_diagram,
+    render_certificate,
     search_equivalent,
     search_slice,
     validate_certificate,
@@ -194,3 +200,82 @@ class TestDeterminism:
         assert (first.nodes, first.dedup) == (again.nodes, again.dedup)
         assert first.certificate == again.certificate
         assert validate_certificate(first.certificate, "concordance").ok
+
+
+def _ribbon_sum():
+    k = parse_gauss("L:O1+U2+U1+O2+")
+    return search_slice(
+        closure(connected_sum(k, inverse(k))),
+        SearchBudget(max_crossings=4, max_saddles=1, max_deaths=1,
+                     max_nodes=20_000),
+    )
+
+
+class TestGoldenCertificates:
+    """Certificates rebuilt from the parent pointers, pinned as text.
+
+    The texts were captured when parent pointers still held the `Move`
+    itself; rebuilding each move from its enumeration index must give
+    them back byte for byte."""
+
+    CASES = {
+        "kishino": (
+            lambda: search_slice(parse_gauss(KISHINO), KISHINO_BUDGET),
+            (41, 1976),
+            "start: O1+U2-U1+O2-U3-O4+O3-U4+\n"
+            "saddle c1=0 p=3 c2=0 q=7\n"
+            "r2- a=2 b=1\n"
+            "r2- a=3 b=4\n"
+            "death c=0\n"
+            "end: ()\n",
+        ),
+        "ribbon-sum": (
+            _ribbon_sum,
+            (19, 53),
+            "start: O1+U2+U1+O2+O3-U4-U3-O4-\n"
+            "saddle c1=0 p=0 c2=0 q=6\n"
+            "r2- a=3 b=2\n"
+            "r2- a=4 b=1\n"
+            "death c=0\n"
+            "end: ()\n",
+        ),
+        "equivalent": (
+            lambda: search_equivalent(
+                parse_gauss("O1+U1+O2-U2-"), parse_gauss("()"),
+                SearchBudget.small(),
+            ),
+            (2, 6),
+            "start: O1+U1+O2-U2-\n"
+            "r1- x=2\n"
+            "r1- x=1\n"
+            "end: ()\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_certificate_text(self, name):
+        search, counters, text = self.CASES[name]
+        out = search()
+        assert (out.status, out.nodes, out.dedup) == ("found", *counters)
+        assert render_certificate(out.certificate) == text
+        assert validate_certificate(out.certificate, "concordance").ok
+
+
+class TestMemory:
+    def test_trefoil_probe_peak_stays_small(self):
+        # The bound sits between the 5.89 MB this run peaks at when each
+        # parent pointer holds a `Move` and the 2.5 MB it peaks at when
+        # the pointer holds the move's enumeration index.
+        budget = SearchBudget(
+            max_crossings=7, max_components=4, max_saddles=2, max_births=2,
+            max_deaths=2, max_nodes=5_000, max_depth=1_000_000,
+        )
+        knot = parse_gauss(TREFOIL)
+        tracemalloc.start()
+        try:
+            out = search_slice(knot, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.nodes, out.dedup) == ("budget-hit", 24, 884)
+        assert peak < 4_000_000
