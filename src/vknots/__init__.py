@@ -7,7 +7,6 @@ from .diagram import (
     closure,
     connected_sum,
     cut,
-    diagram_stats,
     inverse,
     mirror,
     parse_gauss,
@@ -15,7 +14,7 @@ from .diagram import (
     reverse,
 )
 from .canonical import canonical_key, canonicalize
-from .surface import build_map, carter_genus, carter_report, trace_faces
+from .surface import carter_genus, carter_report
 from .moves import (
     Move,
     MoveError,
@@ -56,7 +55,6 @@ __all__ = [
     "ValidationReport",
     "apply_move",
     "apply_move_with_inverse",
-    "build_map",
     "canonical_key",
     "canonicalize",
     "carter_genus",
@@ -64,7 +62,6 @@ __all__ = [
     "closure",
     "connected_sum",
     "cut",
-    "diagram_stats",
     "enumerate_moves",
     "inverse",
     "mirror",
@@ -79,7 +76,6 @@ __all__ = [
     "reverse",
     "search_equivalent",
     "search_slice",
-    "trace_faces",
     "transport_closure_to_long",
     "transport_long_to_closure",
     "validate_certificate",

@@ -26,7 +26,6 @@ from .diagram import (
     closure,
     connected_sum,
     cut,
-    diagram_stats,
     inverse,
     mirror,
     parse_gauss,
@@ -164,9 +163,11 @@ def _dispatch(args) -> int:
 
     if cmd == "info":
         d = parse_gauss(args.code)
-        n, comps, writhe = diagram_stats(d)
         report = carter_report(closure(d) if d.long else d)
-        print(f"crossings={n} components={comps} writhe={writhe} genus={report.genus}")
+        print(
+            f"crossings={d.n_crossings} components={d.n_components} "
+            f"writhe={d.writhe} genus={report.genus}"
+        )
         print(report.record())
         return EXIT_OK
 

@@ -327,8 +327,3 @@ def cut(d: GaussDiagram, comp: int, pos: int) -> GaussDiagram:
     comps = (strand,) + d.components[:comp] + d.components[comp + 1 :]
     return GaussDiagram(comps, d.signs, True)
 
-
-def diagram_stats(d: GaussDiagram) -> tuple[int, int, int]:
-    """(crossing count, component count, writhe)."""
-    return d.n_crossings, d.n_components, d.writhe
-

@@ -131,7 +131,7 @@ class _Dedup:
 
     def __init__(self, budget: SearchBudget):
         self.track_depth = budget.max_depth < budget.max_nodes
-        self.table: dict[str, list[tuple[int, int, int, int]]] = {}
+        self.table: dict[str, tuple[tuple[int, int, int, int], ...]] = {}
         self.tuples: dict[tuple, tuple] = {}
         self.hits = 0
 
@@ -141,13 +141,13 @@ class _Dedup:
 
     def admit(self, key: str, spent: tuple[int, int, int], depth: int) -> bool:
         vec = (*spent, depth if self.track_depth else 0)
-        entries = self.table.setdefault(key, [])
+        entries = self.table.get(key, ())
         for old in entries:
             if all(o <= n for o, n in zip(old, vec)):
                 self.hits += 1
                 return False
-        entries[:] = [e for e in entries if not all(n <= o for o, n in zip(e, vec))]
-        entries.append(self.share(vec))
+        kept = [e for e in entries if not all(n <= o for o, n in zip(e, vec))]
+        self.table[key] = (*kept, self.share(vec))
         return True
 
 

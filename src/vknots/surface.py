@@ -6,49 +6,29 @@ edges.  Capping the boundary circles of the resulting band surface with
 disks yields a closed oriented surface whose genus upper-bounds the
 virtual genus of the underlying knot.
 
-The surface is encoded as a combinatorial map: one dart per arc end,
-the involution `alpha` pairing the two darts of an arc, and the rotation
-`sigma` giving the counterclockwise order of the four darts at each
-vertex.  Boundary circles are the orbits of sigma composed with alpha.
+Darts are integers.  Endpoints are numbered 0, 1, ... in component
+order; the arc leaving endpoint e carries dart 2e, which leaves e's
+vertex, and dart 2e + 1, which arrives at the vertex of the next
+endpoint on the component.  The involution alpha pairing the two darts
+of an arc is therefore ``dart ^ 1``, and the rotation sigma gives the
+counterclockwise order of the four darts at each vertex.  Boundary
+circles are the orbits of sigma composed with alpha.
 
 Rotation convention, for a crossing of sign epsilon (validated against
 the planar trefoil, which must produce 5 faces):
 
     epsilon = +1 : over-out, under-out, over-in, under-in
     epsilon = -1 : over-out, under-in, over-in, under-out
+
+The connected pieces of the surface are found by union-find over the
+components, two components being joined at each crossing they share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import OVER, DiagramError, GaussDiagram
-
-# Dart encoding: ("out", comp, arc) leaves the vertex at the arc's start
-# endpoint; ("in", comp, arc) arrives at the vertex at its end endpoint.
-Dart = tuple[str, int, int]
-
-
-@dataclass(frozen=True)
-class CombinatorialMap:
-    darts: tuple[Dart, ...]
-    alpha: tuple[tuple[Dart, Dart], ...]  # arc-end pairing
-    sigma: tuple[tuple[Dart, ...], ...]  # one 4-cycle per crossing vertex
-    vertex_of: tuple[tuple[Dart, int], ...]  # dart -> crossing id
-
-    def alpha_map(self) -> dict[Dart, Dart]:
-        m: dict[Dart, Dart] = {}
-        for a, b in self.alpha:
-            m[a] = b
-            m[b] = a
-        return m
-
-    def sigma_map(self) -> dict[Dart, Dart]:
-        m: dict[Dart, Dart] = {}
-        for cycle in self.sigma:
-            for i, dart in enumerate(cycle):
-                m[dart] = cycle[(i + 1) % len(cycle)]
-        return m
+from .diagram import DiagramError, GaussDiagram
 
 
 @dataclass(frozen=True)
@@ -65,81 +45,6 @@ class CarterReport:
         )
 
 
-def build_map(d: GaussDiagram) -> CombinatorialMap:
-    """Combinatorial map of the band surface of a round diagram.
-
-    Chordless circles carry no crossings and are left out (they are
-    spheres); long diagrams must be closed first.
-    """
-    if d.long:
-        raise DiagramError("build_map needs a round diagram; close the strand first")
-
-    darts: list[Dart] = []
-    alpha: list[tuple[Dart, Dart]] = []
-    # Per crossing: incoming/outgoing dart on the over and under branch.
-    at_crossing: dict[int, dict[str, Dart]] = {}
-
-    for c, comp in enumerate(d.components):
-        k = len(comp)
-        for i in range(k):
-            out_dart: Dart = ("out", c, i)
-            in_dart: Dart = ("in", c, i)
-            darts += [out_dart, in_dart]
-            alpha.append((out_dart, in_dart))
-            src_id, src_role = comp[i]
-            dst_id, dst_role = comp[(i + 1) % k]
-            src_branch = "over" if src_role == OVER else "under"
-            dst_branch = "over" if dst_role == OVER else "under"
-            at_crossing.setdefault(src_id, {})[src_branch + "_out"] = out_dart
-            at_crossing.setdefault(dst_id, {})[dst_branch + "_in"] = in_dart
-
-    sigma: list[tuple[Dart, ...]] = []
-    vertex_of: list[tuple[Dart, int]] = []
-    for cid in sorted(at_crossing):
-        ends = at_crossing[cid]
-        if d.sign_of(cid) > 0:
-            cycle = (
-                ends["over_out"],
-                ends["under_out"],
-                ends["over_in"],
-                ends["under_in"],
-            )
-        else:
-            cycle = (
-                ends["over_out"],
-                ends["under_in"],
-                ends["over_in"],
-                ends["under_out"],
-            )
-        sigma.append(cycle)
-        vertex_of += [(dart, cid) for dart in cycle]
-
-    return CombinatorialMap(tuple(darts), tuple(alpha), tuple(sigma), tuple(vertex_of))
-
-
-def trace_faces(m: CombinatorialMap) -> int:
-    """Number of boundary circles: orbits of sigma∘alpha on darts."""
-    return len(face_orbits(m))
-
-
-def face_orbits(m: CombinatorialMap) -> list[list[Dart]]:
-    alpha = m.alpha_map()
-    sigma = m.sigma_map()
-    seen: set[Dart] = set()
-    orbits: list[list[Dart]] = []
-    for start in m.darts:
-        if start in seen:
-            continue
-        orbit = []
-        dart = start
-        while dart not in seen:
-            seen.add(dart)
-            orbit.append(dart)
-            dart = sigma[alpha[dart]]
-        orbits.append(orbit)
-    return orbits
-
-
 def carter_report(d: GaussDiagram) -> CarterReport:
     """Face, Euler characteristic, and genus bookkeeping for a diagram.
 
@@ -149,11 +54,18 @@ def carter_report(d: GaussDiagram) -> CarterReport:
     """
     if d.long:
         raise DiagramError("carter_report needs a round diagram")
-    m = build_map(d)
-    vertex_of = dict(m.vertex_of)
+    comp_of: list[int] = []  # dart -> its component
+    # crossing id -> its darts [over-out, under-out, over-in, under-in]
+    darts: dict[int, list[int]] = {}
+    for c, comp in enumerate(d.components):
+        base, k = len(comp_of), len(comp)
+        for i, (cid, role) in enumerate(comp):
+            at = darts.setdefault(cid, [0, 0, 0, 0])
+            at[role] = base + 2 * i
+            at[2 + role] = base + 2 * ((i - 1) % k) + 1
+        comp_of += [c] * (2 * k)
 
-    # Connected pieces of the band graph, via union-find on crossing ids.
-    parent: dict[int, int] = {cid: cid for cid in d.crossing_ids}
+    parent = list(range(d.n_components))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -161,37 +73,47 @@ def carter_report(d: GaussDiagram) -> CarterReport:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
+    for over_out, under_out, _, _ in darts.values():
+        parent[find(comp_of[over_out])] = find(comp_of[under_out])
 
-    for comp in d.components:
-        for i in range(len(comp)):
-            union(comp[i][0], comp[(i + 1) % len(comp)][0])
+    # Euler characteristic per piece, kept at the piece's root: one
+    # less per vertex, one more per face.
+    chi = [0] * d.n_components
+    sigma = [0] * len(comp_of)
+    for cid, (over_out, under_out, over_in, under_in) in darts.items():
+        chi[find(comp_of[over_out])] -= 1
+        if d.sign_of(cid) > 0:
+            cycle = (over_out, under_out, over_in, under_in)
+        else:
+            cycle = (over_out, under_in, over_in, under_out)
+        for i in range(4):
+            sigma[cycle[i]] = cycle[(i + 1) % 4]
 
-    n_piece: dict[int, int] = {}
-    for cid in d.crossing_ids:
-        root = find(cid)
-        n_piece[root] = n_piece.get(root, 0) + 1
-    f_piece: dict[int, int] = {root: 0 for root in n_piece}
-    for orbit in face_orbits(m):
-        f_piece[find(vertex_of[orbit[0]])] += 1
+    seen = bytearray(len(sigma))
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        chi[find(comp_of[start])] += 1
+        dart = start
+        while not seen[dart]:
+            seen[dart] = 1
+            dart = sigma[dart ^ 1]
 
-    total_faces = sum(f_piece.values())
-    total_genus = 0
-    for root, n in n_piece.items():
-        chi = f_piece[root] - n
-        if chi % 2 != 0 or chi > 2:
+    genus = 0
+    for root in {find(comp_of[over_out]) for over_out, *_ in darts.values()}:
+        if chi[root] % 2 != 0 or chi[root] > 2:
             raise AssertionError(
-                f"band-surface piece has Euler characteristic {chi}; "
+                f"band-surface piece has Euler characteristic {chi[root]}; "
                 "rotation convention broken"
             )
-        total_genus += (2 - chi) // 2
+        genus += (2 - chi[root]) // 2
 
+    euler = sum(chi)
     return CarterReport(
         crossings=d.n_crossings,
-        faces=total_faces,
-        euler=total_faces - d.n_crossings,
-        genus=total_genus,
+        faces=euler + d.n_crossings,
+        euler=euler,
+        genus=genus,
     )
 
 

@@ -8,7 +8,6 @@ from vknots import (
     connected_sum,
     cut,
     canonical_key,
-    diagram_stats,
     inverse,
     mirror,
     parse_gauss,
@@ -63,9 +62,9 @@ class TestParseRender:
             parse_gauss(bad)
 
     def test_stats(self):
-        n, comps, writhe = diagram_stats(parse_gauss(KISHINO))
-        assert (n, comps) == (4, 1)
-        assert writhe == 0
+        d = parse_gauss(KISHINO)
+        assert (d.n_crossings, d.n_components) == (4, 1)
+        assert d.writhe == 0
         assert parse_gauss(TREFOIL).writhe == 3
 
 

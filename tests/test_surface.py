@@ -1,9 +1,9 @@
-"""Carter-surface combinatorial maps, face counts, and genus."""
+"""Carter-surface face counts and genus."""
 
 import pytest
 
 from vknots import (
-    build_map,
+    GaussDiagram,
     carter_genus,
     carter_report,
     closure,
@@ -11,10 +11,16 @@ from vknots import (
     mirror,
     parse_gauss,
     reverse,
-    trace_faces,
 )
 
-from .conftest import KINK, KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_diagram
+from .conftest import (
+    KINK,
+    KISHINO,
+    TREFOIL,
+    VIRTUAL_TREFOIL,
+    random_diagram,
+    scrambled,
+)
 from .oracles import carter_genus_oracle, face_count
 
 # [DERIVED] from tests/oracles.py face_count / carter_genus_oracle.
@@ -33,7 +39,6 @@ class TestFaces:
         report = carter_report(d)
         assert report.faces == faces
         assert report.genus == genus
-        assert trace_faces(build_map(d)) == faces
 
     @pytest.mark.parametrize("code,faces,genus", GENUS_TABLE)
     def test_table_matches_oracle(self, code, faces, genus):
@@ -88,3 +93,42 @@ class TestGenusProperties:
         v = parse_gauss("L:" + VIRTUAL_TREFOIL)
         g = carter_genus(closure(connected_sum(k, v)))
         assert g <= carter_genus(closure(k)) + carter_genus(closure(v))
+
+
+def random_round(rng, max_crossings=5):
+    d = random_diagram(rng, max_crossings)
+    return closure(d) if d.long else d
+
+
+def disjoint_union(a, b):
+    """a beside b, b's crossing ids shifted past a's."""
+    shift = max(a.crossing_ids, default=0)
+    b_comps = tuple(
+        tuple((cid + shift, role) for cid, role in comp) for comp in b.components
+    )
+    b_signs = tuple((cid + shift, s) for cid, s in b.signs)
+    return GaussDiagram(a.components + b_comps, a.signs + b_signs, False)
+
+
+class TestPieces:
+    """Split diagrams, which the connected-only oracle cannot check."""
+
+    def test_disjoint_union_adds(self, rng):
+        for _ in range(200):
+            a, b = random_round(rng), random_round(rng)
+            if rng.random() < 0.3:
+                b = disjoint_union(b, parse_gauss("()"))
+            ra, rb = carter_report(a), carter_report(b)
+            union = disjoint_union(a, b)
+            r = carter_report(union)
+            assert r.crossings == ra.crossings + rb.crossings
+            assert r.faces == ra.faces + rb.faces
+            assert r.euler == ra.euler + rb.euler
+            assert r.genus == ra.genus + rb.genus
+            # the two pieces' components interleaved
+            assert carter_report(scrambled(union, rng)) == r
+
+    def test_invariant_under_reorder_rotation_relabel(self, rng):
+        for _ in range(200):
+            d = random_round(rng, max_crossings=6)
+            assert carter_report(scrambled(d, rng)) == carter_report(d)
