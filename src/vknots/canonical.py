@@ -46,7 +46,8 @@ class Iso:
 
     comp_perm[i] is the canonical index of source component i.
     rotations[i] = r means the canonical sequence of that component is
-    seq[r:] + seq[:r] (always 0 for the open strand).
+    seq[r:] + seq[:r] (always 0 for the open strand and for a chordless
+    circle).
     id_map is the source-id -> canonical-id relabeling.
     """
 
@@ -154,7 +155,7 @@ def _best_candidate(d: GaussDiagram) -> tuple[tuple[int, ...], tuple[int, ...], 
         rot_ranges = []
         lead = True  # no crossing ids assigned before this component
         for i in order:
-            if (d.long and i == 0) or not d.components[i]:
+            if not d.cyclic(i) or not d.components[i]:
                 rot_ranges.append((0,))
                 lead = lead and not d.components[i]
             elif lead:
@@ -236,22 +237,11 @@ def map_arc(iso: Iso, d: GaussDiagram, comp: int, arc: int) -> tuple[int, int]:
 
     Returns (canonical component index, canonical arc index).
     """
-    k = len(d.components[comp])
-    new_comp = iso.comp_perm[comp]
-    if d.long and comp == 0:
-        return new_comp, arc
-    if k == 0:
-        return new_comp, 0
-    return new_comp, (arc - iso.rotations[comp]) % k
+    return iso.comp_perm[comp], (arc - iso.rotations[comp]) % d.arc_count(comp)
 
 
 def unmap_arc(iso: Iso, d: GaussDiagram, new_comp: int, new_arc: int) -> tuple[int, int]:
     """Inverse of map_arc: canonical arc reference back to `d` coordinates."""
     comp = iso.comp_perm.index(new_comp)
-    k = len(d.components[comp])
-    if d.long and comp == 0:
-        return comp, new_arc
-    if k == 0:
-        return comp, 0
-    return comp, (new_arc + iso.rotations[comp]) % k
+    return comp, (new_arc + iso.rotations[comp]) % d.arc_count(comp)
 

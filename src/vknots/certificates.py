@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import Iso, canonical_key, canonicalize, map_arc, unmap_arc
-from .diagram import GaussDiagram, closure, parse_gauss, render_gauss
+from .diagram import GaussDiagram, arc_of_slot, closure, parse_gauss, render_gauss
 from .moves import Move, MoveError, apply_move, parse_move, relabel_move, render_move
 from .moves import enumerate_moves  # noqa: F401  (bench/tracer.py wraps it)
 
@@ -161,7 +161,7 @@ def advance_classes(
         c1, c2 = m["c1"], m["c2"]
         if c1 == c2:  # split: the new component stays on the same piece
             return classes + (classes[c1],), False
-        if prev.long and c2 == 0:  # mirror the applier's strand bookkeeping
+        if not prev.cyclic(c2):  # mirror the applier's strand bookkeeping
             c1, c2 = c2, c1
         a, b = classes[c1], classes[c2]
         lo = min(a, b)
@@ -288,21 +288,20 @@ def _shift_components(m: Move, ref: GaussDiagram) -> Move:
 
 def _close_move(m: Move, ref: GaussDiagram) -> Move:
     """Lift a move of a long diagram onto its closure: strand gap i (the
-    gap before endpoint i) becomes closed arc i-1, from endpoint i-1 to
-    endpoint i; crossing ids and component indices are unchanged."""
+    gap before endpoint i) becomes the closed arc with the same insertion
+    slot, arc i-1 from endpoint i-1 to endpoint i; crossing ids and
+    component indices are unchanged."""
     k = len(ref.components[0])
 
     def arc(c: int, a: int) -> int:
-        if c != 0:
-            return a
-        return (a - 1) % k if k else 0
+        return arc_of_slot(k, True, a) if c == 0 else a
 
     moved = relabel_move(m, arc=arc)
     if m.kind == "r2_insert" and m["c1"] == m["c2"] == 0:
         # q indexes the strand with the over pair in place.  At gap 0 the
         # pair opens the strand but ends the closed list, which turns the
         # closed intermediate by two more endpoints.
-        q = (m["q"] - (3 if m["p"] == 0 else 1)) % (k + 2)
+        q = arc_of_slot(k + 2, True, m["q"] - (2 if m["p"] == 0 else 0))
         moved = Move.of(m.kind, **dict(moved.params, q=q))
     return moved
 
@@ -362,7 +361,7 @@ def _pull_back(
     moved = relabel_move(m, ids=ids, comp=comp, arc=arc)
     if m.kind == "r2_insert" and m["c1"] == m["c2"]:
         c, p, q = m["c1"], m["p"], m["q"]
-        if not (src.long and c == 0) and src.components[c]:
+        if src.cyclic(c) and src.components[c]:
             # q indexes the component with the over pair in place, which
             # the normalizing rotation r turns by r, or by r + 2 when the
             # pair lands at a slot <= r.

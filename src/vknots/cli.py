@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from importlib import resources
 
 from .canonical import canonical_key
@@ -54,27 +55,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_budget_flags(p: argparse.ArgumentParser, cobordism: bool) -> None:
-    p.add_argument("--max-crossings", type=int, default=8)
-    p.add_argument("--max-components", type=int, default=4)
-    p.add_argument("--max-depth", type=int, default=16)
-    p.add_argument("--max-nodes", type=int, default=100_000)
+    default = SearchBudget()
+    p.add_argument("--max-crossings", type=int, default=default.max_crossings)
+    p.add_argument("--max-components", type=int, default=default.max_components)
+    p.add_argument("--max-depth", type=int, default=default.max_depth)
+    p.add_argument("--max-nodes", type=int, default=default.max_nodes)
     if cobordism:
+        # One saddle and one death by default: enough to slice a knot
+        # the way the bundled Kishino certificate does.
         p.add_argument("--max-saddles", type=int, default=1)
-        p.add_argument("--max-births", type=int, default=0)
+        p.add_argument("--max-births", type=int, default=default.max_births)
         p.add_argument("--max-deaths", type=int, default=1)
 
 
 def _budget(args, cobordism: bool) -> SearchBudget:
+    """The budget the flags name; a cap with no flag keeps its default."""
+    names = [f.name for f in fields(SearchBudget) if hasattr(args, f.name)]
     try:
-        return SearchBudget(
-            max_crossings=args.max_crossings,
-            max_components=args.max_components,
-            max_saddles=getattr(args, "max_saddles", 0),
-            max_births=getattr(args, "max_births", 0),
-            max_deaths=getattr(args, "max_deaths", 0),
-            max_nodes=args.max_nodes,
-            max_depth=args.max_depth,
-        )
+        return SearchBudget(**{name: getattr(args, name) for name in names})
     except ValueError as err:
         raise UsageError(f"bad budget: {err}") from None
 

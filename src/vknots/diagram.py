@@ -62,17 +62,54 @@ class GaussDiagram:
     def writhe(self) -> int:
         return sum(s for _, s in self.signs)
 
-    def arc_count(self, comp: int) -> int:
-        """Number of arcs of a component.
+    def cyclic(self, comp: int) -> bool:
+        """Whether a component is closed: all but a long diagram's strand."""
+        return not (self.long and comp == 0)
 
-        Cyclic component with k endpoints: k arcs (one arc for a chordless
-        circle).  Open strand with k endpoints: k + 1 arcs, arc i being the
-        gap before endpoint i (arc k is the outgoing tail).
-        """
-        k = len(self.components[comp])
-        if self.long and comp == 0:
-            return k + 1
-        return max(k, 1)
+    def arc_count(self, comp: int) -> int:
+        """Number of arcs of a component (see `n_arcs`)."""
+        return n_arcs(len(self.components[comp]), self.cyclic(comp))
+
+
+# -- arcs and insertion slots ---------------------------------------------
+#
+# A cyclic component with k endpoints has arcs 0..k-1, arc i running from
+# endpoint i to endpoint i+1; a chordless circle has the single arc 0.
+# The open strand with k endpoints has arcs 0..k, arc i being the gap
+# before endpoint i (arc k is the outgoing tail).  A move that inserts
+# endpoints into an arc puts them at one slot, the index the first of
+# them gets: strand gap i is slot i, cyclic arc i is slot i + 1 (so arc
+# k - 1 appends), and a chordless circle's arc is slot 0.  On a cyclic
+# component slots 0 and k are the same place.
+#
+# These take a component's length rather than a diagram, so they serve
+# as well a component that a move is halfway through building.
+
+
+def n_arcs(k: int, cyclic: bool) -> int:
+    """Number of arcs of a component with k endpoints."""
+    return max(k, 1) if cyclic else k + 1
+
+
+def slot_of_arc(k: int, cyclic: bool, arc: int) -> int:
+    """Endpoint index at which an insertion into `arc` lands."""
+    if not cyclic:
+        return arc
+    return arc + 1 if k else 0
+
+
+def arc_of_slot(k: int, cyclic: bool, slot: int) -> int:
+    """The arc whose insertion slot is `slot`."""
+    if not cyclic:
+        return slot
+    return (slot - 1) % k if k else 0
+
+
+def read_after(seq, arc: int):
+    """A cyclic component's sequence re-read from the endpoint after
+    `arc` on."""
+    start = (arc + 1) % len(seq) if seq else 0
+    return seq[start:] + seq[:start]
 
 
 def _check_invariants(d: GaussDiagram) -> None:
@@ -315,15 +352,10 @@ def cut(d: GaussDiagram, comp: int, pos: int) -> GaussDiagram:
         raise DiagramError("cut requires a round diagram")
     if not 0 <= comp < len(d.components):
         raise DiagramError(f"no component {comp}")
-    target = d.components[comp]
-    k = len(target)
-    if not 0 <= pos < max(k, 1):
-        raise DiagramError(f"no arc {pos} on component {comp} ({max(k, 1)} arcs)")
-    if k:
-        start = (pos + 1) % k
-        strand = target[start:] + target[:start]
-    else:
-        strand = ()
+    n = d.arc_count(comp)
+    if not 0 <= pos < n:
+        raise DiagramError(f"no arc {pos} on component {comp} ({n} arcs)")
+    strand = read_after(d.components[comp], pos)
     comps = (strand,) + d.components[:comp] + d.components[comp + 1 :]
     return GaussDiagram(comps, d.signs, True)
 

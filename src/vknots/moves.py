@@ -25,15 +25,12 @@ each (a crossing id, a component, an arc, a sign or an endpoint order);
 Virtual and mixed moves act as the identity on Gauss diagrams and have
 no move kind; planar isotopy likewise.
 
-Arc indexing: a cyclic component with k endpoints has arcs 0..k-1, arc i
-running from endpoint i to endpoint i+1 (a chordless circle has the
-single arc 0).  The open strand with k endpoints has arcs 0..k, arc i
-being the gap before endpoint i.
-
-Insertions place new endpoints into an arc; for r2_insert the over pair
-is inserted first and the under-arc index q refers to the diagram with
-the over pair already present (this only matters when both pairs land on
-the same arc).
+Arcs, and the slot at which an insertion into an arc lands, are those
+of `diagram` (`GaussDiagram.cyclic`, `n_arcs`, `slot_of_arc`,
+`arc_of_slot`, `read_after`).  For r2_insert the over pair is inserted
+first and the under-arc index q refers to the diagram with the over pair
+already present (this only matters when both pairs land on one
+component).
 
 All moves are applied functionally: the input diagram is unchanged and
 each application also yields the exact inverse move, so that certificate
@@ -45,7 +42,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .diagram import OVER, UNDER, Endpoint, GaussDiagram, make_diagram
+from .diagram import (
+    OVER,
+    UNDER,
+    Endpoint,
+    GaussDiagram,
+    arc_of_slot,
+    make_diagram,
+    n_arcs,
+    read_after,
+    slot_of_arc,
+)
 
 # Each kind's parameters in text order, with the role of each:
 #   id     a crossing id
@@ -183,41 +190,17 @@ def apply_move_with_inverse(d: GaussDiagram, m: Move) -> tuple[GaussDiagram, Mov
     return handler(d, m)
 
 
-def _is_cyclic(d: GaussDiagram, c: int) -> bool:
-    return not (d.long and c == 0)
-
-
 def _check_comp(d: GaussDiagram, c) -> int:
     if not isinstance(c, int) or not 0 <= c < d.n_components:
         raise MoveError(f"no component {c}")
     return c
 
 
-def _check_arc(d: GaussDiagram, c: int, arc) -> int:
-    n = d.arc_count(c)
+def _check_arc(c: int, arc, n: int) -> int:
+    """`arc`, if it is one of the n arcs of component c."""
     if not isinstance(arc, int) or not 0 <= arc < n:
         raise MoveError(f"no arc {arc} on component {c} ({n} arcs)")
     return arc
-
-
-def _slot_of_arc(d: GaussDiagram, c: int, arc: int) -> int:
-    """Endpoint index at which an insertion into this arc lands."""
-    k = len(d.components[c])
-    if not _is_cyclic(d, c):
-        return arc
-    if k == 0:
-        return 0
-    return arc + 1  # slot k appends, equivalent to the wrap arc
-
-
-def _arc_of_slot(d_comp_len: int, cyclic: bool, slot: int) -> int:
-    """Arc index whose insertion slot is `slot`, in a component of the
-    given length."""
-    if not cyclic:
-        return slot
-    if d_comp_len == 0:
-        return 0
-    return (slot - 1) % d_comp_len
 
 
 def _fresh_ids(d: GaussDiagram, count: int) -> list[int]:
@@ -243,7 +226,7 @@ def _sites(d: GaussDiagram) -> list[tuple[int, int, int, Endpoint, Endpoint]]:
     out = []
     for c, comp in enumerate(d.components):
         k = len(comp)
-        if not _is_cyclic(d, c):
+        if not d.cyclic(c):
             out.extend((c, i, i + 1, comp[i], comp[i + 1]) for i in range(k - 1))
         elif k >= 2:
             for i in range(k):
@@ -278,42 +261,29 @@ def _apply_r1_delete(d: GaussDiagram, m: Move):
     if kink is None:
         raise MoveError(f"endpoints of crossing {x} are not adjacent; not an r1 kink")
     c, i, order = kink
-
-    comp = list(d.components[c])
-    k = len(comp)
-    cyclic = _is_cyclic(d, c)
-    if cyclic and i == k - 1:  # wrap pair (k-1, 0)
-        new_comp = comp[1 : k - 1]
-        slot = len(new_comp)
-    else:
-        new_comp = comp[:i] + comp[i + 2 :]
-        slot = i
+    # The kink starts at slot i, or at slot 0 when it is the wrap pair
+    # (k-1, 0) of a cyclic component.
+    slot = 0 if i == len(d.components[c]) - 1 else i
     comps = [list(x_) for x_ in d.components]
-    comps[c] = new_comp
+    comps[c] = [e for e in comps[c] if e[0] != x]
     signs = dict(d.signs)
     sign = signs.pop(x)
     result = make_diagram(comps, signs, d.long)
-    inv = Move.of(
-        "r1_insert",
-        c=c,
-        pos=_arc_of_slot(len(new_comp), cyclic, slot),
-        sign=sign,
-        order=order,
-    )
-    return result, inv
+    pos = arc_of_slot(len(comps[c]), d.cyclic(c), slot)
+    return result, Move.of("r1_insert", c=c, pos=pos, sign=sign, order=order)
 
 
 def _apply_r1_insert(d: GaussDiagram, m: Move):
     c = _check_comp(d, m["c"])
-    pos = _check_arc(d, c, m["pos"])
+    pos = _check_arc(c, m["pos"], d.arc_count(c))
     sign = m["sign"]
     order = m["order"]
     if sign not in (1, -1) or order not in ("OU", "UO"):
         raise MoveError(f"bad r1_insert parameters sign={sign} order={order}")
     (nid,) = _fresh_ids(d, 1)
     pair = [(nid, OVER), (nid, UNDER)] if order == "OU" else [(nid, UNDER), (nid, OVER)]
-    slot = _slot_of_arc(d, c, pos)
     comps = [list(x) for x in d.components]
+    slot = slot_of_arc(len(comps[c]), d.cyclic(c), pos)
     comps[c] = comps[c][:slot] + pair + comps[c][slot:]
     signs = dict(d.signs)
     signs[nid] = sign
@@ -369,47 +339,31 @@ def _apply_r2_delete(d: GaussDiagram, m: Move):
     # bookkeeping for the inverse insertion is then exact.  The rotation
     # is invisible to the canonical key.
     comps = [list(x) for x in d.components]
-    if _is_cyclic(d, oc) and comps[oc]:
+    if d.cyclic(oc):
         comps[oc] = comps[oc][opos:] + comps[oc][:opos]
         opos = 0
         if uc == oc:
             upos = comps[oc].index((first_under, UNDER))
-    if uc != oc and _is_cyclic(d, uc) and comps[uc]:
+    if uc != oc and d.cyclic(uc):
         comps[uc] = comps[uc][upos:] + comps[uc][:upos]
         upos = 0
+    for c in {oc, uc}:
+        comps[c] = [e for e in comps[c] if e[0] != a and e[0] != b]
 
     signs = dict(d.signs)
     sign = signs.pop(a)
     signs.pop(b)
 
-    if oc == uc:
-        comp = comps[oc]
-        k = len(comp)
-        cyclic = _is_cyclic(d, oc)
-        minus_unders = comp[:upos] + comp[upos + 2 :]
-        so = opos if opos < upos else opos - 2  # O_a slot in minus_unders
-        su = upos  # under-pair slot in minus_unders
-        final = minus_unders[:so] + minus_unders[so + 2 :]
-        comps[oc] = final
-        kf = len(final)
-        if cyclic:
-            # The applier inserts the over pair at slot p+1 in 1..kf; if
-            # that differs from `so` the intermediate is rotated, so the
-            # under slot must be transported into the applier's frame.
-            p = (so - 1) % kf if kf else 0
-            slot_applier = p + 1 if kf else 0
-            ki = kf + 2
-            su_app = (su - so + slot_applier) % ki
-            q = (su_app if su_app else ki) - 1
-        else:
-            p, q = so, su
+    kf = len(comps[oc])
+    if oc != uc:
+        p = arc_of_slot(kf, d.cyclic(oc), opos)
+        q = arc_of_slot(len(comps[uc]), d.cyclic(uc), upos)
+    elif d.cyclic(oc):
+        # r2_insert appends the over pair to the rotated component, two
+        # endpoints past slot 0 where it stood, and reads q in that frame.
+        p, q = arc_of_slot(kf, True, 0), arc_of_slot(kf + 2, True, upos - 2)
     else:
-        cyclic_u = _is_cyclic(d, uc)
-        comps[uc] = comps[uc][:upos] + comps[uc][upos + 2 :]
-        q = _arc_of_slot(len(comps[uc]), cyclic_u, upos)
-        cyclic_o = _is_cyclic(d, oc)
-        comps[oc] = comps[oc][:opos] + comps[oc][opos + 2 :]
-        p = _arc_of_slot(len(comps[oc]), cyclic_o, opos)
+        p, q = (opos if opos < upos else opos - 2), upos
 
     result = make_diagram(comps, signs, d.long)
     inv = Move.of("r2_insert", c1=oc, p=p, c2=uc, q=q, sign=sign, order=order)
@@ -418,40 +372,31 @@ def _apply_r2_delete(d: GaussDiagram, m: Move):
 
 def _apply_r2_insert(d: GaussDiagram, m: Move):
     c1 = _check_comp(d, m["c1"])
-    p = _check_arc(d, c1, m["p"])
+    p = _check_arc(c1, m["p"], d.arc_count(c1))
     sign = m["sign"]
     order = m["order"]
     if sign not in (1, -1) or order not in ("OU", "UO"):
         raise MoveError(f"bad r2_insert parameters sign={sign} order={order}")
     a, b = _fresh_ids(d, 2)
-    slot = _slot_of_arc(d, c1, p)
     comps = [list(x) for x in d.components]
+    slot = slot_of_arc(len(comps[c1]), d.cyclic(c1), p)
     comps[c1] = comps[c1][:slot] + [(a, OVER), (b, OVER)] + comps[c1][slot:]
     signs = dict(d.signs)
     signs[a], signs[b] = sign, -sign
 
     # The under-arc index q refers to the intermediate lists with the
     # over pair already inserted.
-    c2 = m["c2"]
-    if not isinstance(c2, int) or not 0 <= c2 < len(comps):
-        raise MoveError(f"no component {c2}")
-    q = m["q"]
-    k2 = len(comps[c2])
-    cyclic2 = _is_cyclic(d, c2)
-    n_arcs = max(k2, 1) if cyclic2 else k2 + 1
-    if not isinstance(q, int) or not 0 <= q < n_arcs:
-        raise MoveError(f"no arc {q} on component {c2} ({n_arcs} arcs)")
-    if cyclic2:
-        slot2 = 0 if k2 == 0 else q + 1
-    else:
-        slot2 = q
+    c2 = _check_comp(d, m["c2"])
+    k2, cyclic2 = len(comps[c2]), d.cyclic(c2)
+    q = _check_arc(c2, m["q"], n_arcs(k2, cyclic2))
+    slot2 = slot_of_arc(k2, cyclic2, q)
     pair = [(b, UNDER), (a, UNDER)] if order == "UO" else [(a, UNDER), (b, UNDER)]
     comps[c2] = comps[c2][:slot2] + pair + comps[c2][slot2:]
     # The under pair must not land between the two over endpoints, or the
     # result is not an r2 pattern.
     final1 = comps[c1]
     pa, pb = final1.index((a, OVER)), final1.index((b, OVER))
-    cyclic1 = _is_cyclic(d, c1)
+    cyclic1 = d.cyclic(c1)
     if not (
         _raw_adjacent(cyclic1, len(final1), pa, pb)
         or _raw_adjacent(cyclic1, len(final1), pb, pa)
@@ -564,52 +509,31 @@ def _apply_r3(d: GaussDiagram, m: Move):
 # -- cobordism moves -----------------------------------------------------
 
 
-def _rotate_after(comp: list, arc: int) -> list:
-    """Cyclic component re-read starting just after the given arc."""
-    if not comp:
-        return []
-    cutpoint = (arc + 1) % len(comp)
-    return comp[cutpoint:] + comp[:cutpoint]
-
-
 def _apply_saddle(d: GaussDiagram, m: Move):
     c1 = _check_comp(d, m["c1"])
     c2 = _check_comp(d, m["c2"])
-    p = _check_arc(d, c1, m["p"])
-    q = _check_arc(d, c2, m["q"])
+    p = _check_arc(c1, m["p"], d.arc_count(c1))
+    q = _check_arc(c2, m["q"], d.arc_count(c2))
     comps = [list(x) for x in d.components]
     signs = dict(d.signs)
 
     if c1 == c2:
         # Split one component into two.
-        if _is_cyclic(d, c1):
-            comp = comps[c1]
-            k = len(comp)
-            if k == 0 or p == q:
-                # Same-arc saddle buds off a chordless circle.
-                piece1, piece2 = _rotate_after(comp, p), []
-            else:
-                start1, end1 = (p + 1) % k, (q + 1) % k
-                piece1 = (
-                    comp[start1:end1]
-                    if start1 <= end1
-                    else comp[start1:] + comp[:end1]
-                )
-                start2, end2 = end1, start1
-                piece2 = (
-                    comp[start2:end2]
-                    if start2 <= end2
-                    else comp[start2:] + comp[:end2]
-                )
+        if d.cyclic(c1):
+            # Read from arc p on: the first piece ends at arc q, and is
+            # all of it when p == q, which buds off a chordless circle.
+            seq = read_after(comps[c1], p)
+            n1 = (q - p - 1) % len(seq) + 1 if seq else 0
+            piece1, piece2 = seq[:n1], seq[n1:]
             comps[c1] = piece1
             comps.append(piece2)
             result = make_diagram(comps, signs, d.long)
             inv = Move.of(
                 "saddle",
                 c1=c1,
-                p=max(len(piece1) - 1, 0),
+                p=arc_of_slot(len(piece1), True, 0),
                 c2=len(comps) - 1,
-                q=max(len(piece2) - 1, 0),
+                q=arc_of_slot(len(piece2), True, 0),
             )
             return result, inv
         # Split the open strand: gaps p and q sever off a circle.
@@ -621,30 +545,30 @@ def _apply_saddle(d: GaussDiagram, m: Move):
         result = make_diagram(comps, signs, d.long)
         inv = Move.of(
             "saddle", c1=0, p=lo, c2=len(comps) - 1,
-            q=max(len(circle) - 1, 0),
+            q=arc_of_slot(len(circle), True, 0),
         )
         return result, inv
 
     # Merge two distinct components.
-    if d.long and c2 == 0:
+    if not d.cyclic(c2):
         c1, c2 = c2, c1
         p, q = q, p
-    if d.long and c1 == 0:
+    if not d.cyclic(c1):
         slot = p  # strand arc index is its insertion slot
-        inserted = _rotate_after(comps[c2], q)
+        inserted = read_after(comps[c2], q)
         merged = comps[0][:slot] + inserted + comps[0][slot:]
         inv = Move.of("saddle", c1=0, p=slot, c2=0, q=slot + len(inserted))
     else:
-        part1 = _rotate_after(comps[c1], p)
-        part2 = _rotate_after(comps[c2], q)
-        merged = part1 + part2
+        part1 = read_after(comps[c1], p)
+        merged = part1 + read_after(comps[c2], q)
         merged_idx = c1 if c1 < c2 else c1 - 1
         km = len(merged)
-        # Splitting the merged component at the two junction arcs
+        # Splitting the merged component at the arcs before each part
         # recovers the parts; if a part is empty both arcs coincide.
-        inv_p = (len(part1) - 1) % km if km else 0
-        inv_q = km - 1 if km else 0
-        inv = Move.of("saddle", c1=merged_idx, p=inv_p, c2=merged_idx, q=inv_q)
+        inv = Move.of(
+            "saddle", c1=merged_idx, p=arc_of_slot(km, True, len(part1)),
+            c2=merged_idx, q=arc_of_slot(km, True, 0),
+        )
     comps[c1] = merged
     del comps[c2]
     result = make_diagram(comps, signs, d.long)
@@ -659,7 +583,7 @@ def _apply_birth(d: GaussDiagram, m: Move):
 
 def _apply_death(d: GaussDiagram, m: Move):
     c = _check_comp(d, m["c"])
-    if d.long and c == 0:
+    if not d.cyclic(c):
         raise MoveError("cannot kill the open strand")
     if d.components[c]:
         raise MoveError(f"component {c} has endpoints; death needs a chordless circle")
@@ -754,13 +678,12 @@ def _enum_r2_insert(d: GaussDiagram) -> Iterator[Move]:
     # q indexes arcs of the intermediate diagram (over pair inserted);
     # the arc between the two new over endpoints is excluded.
     for c1, p in _all_arcs(d):
-        slot_over = _slot_of_arc(d, c1, p)
+        slot_over = slot_of_arc(len(d.components[c1]), d.cyclic(c1), p)
         for c2 in range(d.n_components):
             k2 = len(d.components[c2]) + (2 if c2 == c1 else 0)
-            cyclic2 = _is_cyclic(d, c2)
-            n_arcs = max(k2, 1) if cyclic2 else k2 + 1
-            banned = (slot_over if cyclic2 else slot_over + 1) if c2 == c1 else None
-            for q in range(n_arcs):
+            cyclic2 = d.cyclic(c2)
+            banned = arc_of_slot(k2, cyclic2, slot_over + 1) if c2 == c1 else None
+            for q in range(n_arcs(k2, cyclic2)):
                 if q == banned:
                     continue
                 for sign in (1, -1):

@@ -56,7 +56,7 @@ import heapq
 import itertools
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .canonical import canonical_key, key_and_order
 from .canonical import canonicalize  # noqa: F401  (bench/tracer.py wraps it)
@@ -83,17 +83,9 @@ class SearchBudget:
     max_depth: int = 16
 
     def __post_init__(self):
-        for name in (
-            "max_crossings",
-            "max_components",
-            "max_saddles",
-            "max_births",
-            "max_deaths",
-            "max_nodes",
-            "max_depth",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
     @staticmethod
     def small() -> "SearchBudget":
@@ -461,6 +453,8 @@ def reduce_diagram(
         raise DiagramError("reduce_diagram needs a round diagram")
     best = d
     best_rank = (d.n_crossings, carter_genus(d))
+    if best_rank == (0, 0):  # nothing smaller exists
+        return d, 0
     min_genus = best_rank[1]
 
     dedup = _Dedup(budget)

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from vknots import SearchBudget
+from vknots.cli import _budget, build_parser
+
 from .conftest import KISHINO, TREFOIL, VIRTUAL_TREFOIL
 from .conftest import run_cli as run
 
@@ -143,6 +146,10 @@ class TestSearch:
         errors = [ln for ln in r.stderr.splitlines() if ln.startswith("vknots: error: ")]
         assert errors == ["vknots: error: unrecognized arguments: --workers 2"]
         assert "Traceback" not in r.stderr
+
+    def test_budget_flag_defaults_are_search_budget_defaults(self):
+        args = build_parser().parse_args(["search-equiv", "O1+U1+", "()"])
+        assert _budget(args, False) == SearchBudget()
 
     def test_reduce(self):
         r = run("reduce", "O1+U1+O2-U2-", "--max-nodes", "2000")

@@ -14,6 +14,8 @@ from vknots import (
     render_gauss,
     reverse,
 )
+from vknots.diagram import OVER, arc_of_slot, n_arcs, slot_of_arc
+from vknots.moves import Move, apply_move
 
 from .conftest import CORPUS, KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_diagram
 
@@ -140,3 +142,34 @@ class TestOperations:
             cut(parse_gauss("O1+U1+"), 0, 5)
         with pytest.raises(DiagramError):
             cut(parse_gauss("O1+U1+"), 1, 0)
+
+
+class TestArcModel:
+    """The arc and insertion-slot rules, on every component of the
+    corpus and of 200 random diagrams."""
+
+    @staticmethod
+    def components(rng):
+        diagrams = [parse_gauss(code) for code in CORPUS]
+        diagrams += [random_diagram(rng) for _ in range(200)]
+        for d in diagrams:
+            for c in range(d.n_components):
+                yield d, c, len(d.components[c]), d.cyclic(c)
+
+    def test_arc_count(self, rng):
+        for d, c, k, cyclic in self.components(rng):
+            assert n_arcs(k, cyclic) == d.arc_count(c)
+            assert cyclic == (not d.long or c != 0)
+
+    def test_slot_round_trip(self, rng):
+        for d, c, k, cyclic in self.components(rng):
+            for arc in range(d.arc_count(c)):
+                assert arc_of_slot(k, cyclic, slot_of_arc(k, cyclic, arc)) == arc
+
+    def test_kink_lands_at_slot(self, rng):
+        for d, c, k, cyclic in self.components(rng):
+            for arc in range(d.arc_count(c)):
+                m = Move.of("r1_insert", c=c, pos=arc, sign=1, order="OU")
+                new_id = max(d.crossing_ids, default=0) + 1
+                comp = apply_move(d, m).components[c]
+                assert comp.index((new_id, OVER)) == slot_of_arc(k, cyclic, arc)

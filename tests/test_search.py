@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import vknots.search
 from vknots import (
     DiagramError,
     SearchBudget,
@@ -171,6 +172,17 @@ class TestReduce:
     def test_requires_round(self):
         with pytest.raises(DiagramError):
             reduce_diagram(parse_gauss("L:"), SearchBudget.small())
+
+    @pytest.mark.parametrize("code", ["()", "();()"])
+    def test_rank_zero_input_returns_at_once(self, code, monkeypatch):
+        # Nothing ranks below (0 crossings, genus 0), so no move is
+        # enumerated, even under the default 100,000-node budget.
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduce_diagram expanded a rank-(0, 0) input")
+
+        monkeypatch.setattr(vknots.search, "enumerate_moves", refuse)
+        d = parse_gauss(code)
+        assert reduce_diagram(d, SearchBudget()) == (d, 0)
 
 
 class TestCaches:
