@@ -41,7 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import Iso, canonical_key, canonicalize, map_arc, unmap_arc
-from .diagram import GaussDiagram, arc_of_slot, closure, parse_gauss, render_gauss
+from .diagram import (
+    GaussDiagram, arc_of_slot, closure, parse_gauss, render_gauss, slot_of_arc,
+)
 from .moves import Move, MoveError, apply_move, parse_move, relabel_move, render_move
 from .moves import enumerate_moves  # noqa: F401  (bench/tracer.py wraps it)
 
@@ -360,14 +362,16 @@ def _pull_back(
 
     moved = relabel_move(m, ids=ids, comp=comp, arc=arc)
     if m.kind == "r2_insert" and m["c1"] == m["c2"]:
-        c, p, q = m["c1"], m["p"], m["q"]
-        if src.cyclic(c) and src.components[c]:
-            # q indexes the component with the over pair in place, which
-            # the normalizing rotation r turns by r, or by r + 2 when the
-            # pair lands at a slot <= r.
-            k = len(src.components[c]) + 2
-            r_src, r_dst = src_iso.rotations[c], dst_iso.rotations[comp(c)]
-            q -= r_src + (2 if p < r_src else 0)
-            q = (q + r_dst + (2 if moved["p"] < r_dst else 0)) % k
+        c, q = m["c1"], m["q"]
+        k = len(src.components[c])
+        if src.cyclic(c) and k:
+            # q indexes the component with the over pair in place: its
+            # normalizing rotation r turns by 2 more when the pair lands
+            # at a slot at or before r.
+            def turn(r: int, p: int) -> int:
+                return r + 2 if slot_of_arc(k, True, p) <= r else r
+
+            q -= turn(src_iso.rotations[c], m["p"])
+            q = (q + turn(dst_iso.rotations[comp(c)], moved["p"])) % (k + 2)
         moved = Move.of(m.kind, **dict(moved.params, q=q))
     return moved

@@ -68,7 +68,7 @@ def _add_budget_flags(p: argparse.ArgumentParser, cobordism: bool) -> None:
         p.add_argument("--max-deaths", type=int, default=1)
 
 
-def _budget(args, cobordism: bool) -> SearchBudget:
+def _budget(args) -> SearchBudget:
     """The budget the flags name; a cap with no flag keeps its default."""
     names = [f.name for f in fields(SearchBudget) if hasattr(args, f.name)]
     try:
@@ -218,17 +218,17 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "search-slice":
-        outcome = search_slice(parse_gauss(args.code), _budget(args, True))
+        outcome = search_slice(parse_gauss(args.code), _budget(args))
         return _emit_search(outcome, args.out)
 
     if cmd == "search-equiv":
         outcome = search_equivalent(
-            parse_gauss(args.left), parse_gauss(args.right), _budget(args, False)
+            parse_gauss(args.left), parse_gauss(args.right), _budget(args)
         )
         return _emit_search(outcome, args.out)
 
     if cmd == "reduce":
-        best, bound = reduce_diagram(parse_gauss(args.code), _budget(args, False))
+        best, bound = reduce_diagram(parse_gauss(args.code), _budget(args))
         print(render_gauss(best))
         print(f"crossings={best.n_crossings} genus_bound={bound}")
         return EXIT_OK

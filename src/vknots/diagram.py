@@ -165,18 +165,6 @@ def _diagnose(d: GaussDiagram) -> None:
     raise AssertionError("invariant tally failed but diagnosis found nothing")
 
 
-def make_diagram(
-    components,
-    signs: dict[int, int],
-    long: bool = False,
-) -> GaussDiagram:
-    """Build a diagram from component lists and an id -> sign mapping."""
-    comps = tuple(tuple(comp) for comp in components)
-    if long and not comps:
-        comps = ((),)
-    return GaussDiagram(comps, tuple(sorted(signs.items())), long)
-
-
 # -- textual grammar -----------------------------------------------------
 #
 #   diagram   := [ "L:" ] component ( ";" component )*

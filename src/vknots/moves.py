@@ -34,7 +34,11 @@ component).
 
 All moves are applied functionally: the input diagram is unchanged and
 each application also yields the exact inverse move, so that certificate
-paths can be reversed step by step.
+paths can be reversed step by step.  `apply_move_with_inverse` copies the
+endpoint lists and the sign table once and hands both to the kind's
+handler, which checks the move against the input diagram, edits the
+copies in place and returns only the inverse; the result is then built,
+with its invariant check, in that one place.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .diagram import (
     Endpoint,
     GaussDiagram,
     arc_of_slot,
-    make_diagram,
     n_arcs,
     read_after,
     slot_of_arc,
@@ -186,8 +189,11 @@ def apply_move(d: GaussDiagram, m: Move) -> GaussDiagram:
 
 def apply_move_with_inverse(d: GaussDiagram, m: Move) -> tuple[GaussDiagram, Move]:
     """Apply a move and return (result, exact inverse move on the result)."""
-    handler = _HANDLERS[m.kind]
-    return handler(d, m)
+    comps = [list(c) for c in d.components]
+    signs = dict(d.signs)
+    inv = _HANDLERS[m.kind](d, m, comps, signs)
+    result = GaussDiagram(tuple(map(tuple, comps)), tuple(sorted(signs.items())), d.long)
+    return result, inv
 
 
 def _check_comp(d: GaussDiagram, c) -> int:
@@ -254,7 +260,7 @@ def _r1_kinks(sites: list) -> dict[int, tuple[int, int, str]]:
     return kinks
 
 
-def _apply_r1_delete(d: GaussDiagram, m: Move):
+def _apply_r1_delete(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
     x = m["x"]
     _check_crossing(d, x)
     kink = _r1_kinks(_sites(d)).get(x)
@@ -263,17 +269,13 @@ def _apply_r1_delete(d: GaussDiagram, m: Move):
     c, i, order = kink
     # The kink starts at slot i, or at slot 0 when it is the wrap pair
     # (k-1, 0) of a cyclic component.
-    slot = 0 if i == len(d.components[c]) - 1 else i
-    comps = [list(x_) for x_ in d.components]
+    slot = 0 if i == len(comps[c]) - 1 else i
     comps[c] = [e for e in comps[c] if e[0] != x]
-    signs = dict(d.signs)
-    sign = signs.pop(x)
-    result = make_diagram(comps, signs, d.long)
     pos = arc_of_slot(len(comps[c]), d.cyclic(c), slot)
-    return result, Move.of("r1_insert", c=c, pos=pos, sign=sign, order=order)
+    return Move.of("r1_insert", c=c, pos=pos, sign=signs.pop(x), order=order)
 
 
-def _apply_r1_insert(d: GaussDiagram, m: Move):
+def _apply_r1_insert(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
     c = _check_comp(d, m["c"])
     pos = _check_arc(c, m["pos"], d.arc_count(c))
     sign = m["sign"]
@@ -282,13 +284,10 @@ def _apply_r1_insert(d: GaussDiagram, m: Move):
         raise MoveError(f"bad r1_insert parameters sign={sign} order={order}")
     (nid,) = _fresh_ids(d, 1)
     pair = [(nid, OVER), (nid, UNDER)] if order == "OU" else [(nid, UNDER), (nid, OVER)]
-    comps = [list(x) for x in d.components]
     slot = slot_of_arc(len(comps[c]), d.cyclic(c), pos)
-    comps[c] = comps[c][:slot] + pair + comps[c][slot:]
-    signs = dict(d.signs)
+    comps[c][slot:slot] = pair
     signs[nid] = sign
-    result = make_diagram(comps, signs, d.long)
-    return result, Move.of("r1_delete", x=nid)
+    return Move.of("r1_delete", x=nid)
 
 
 # -- R2 ------------------------------------------------------------------
@@ -315,7 +314,7 @@ def _ordered_pair(pairs: dict, a: int, b: int):
     return None
 
 
-def _apply_r2_delete(d: GaussDiagram, m: Move):
+def _apply_r2_delete(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
     a, b = m["a"], m["b"]
     if a == b:
         raise MoveError("r2_delete needs two distinct crossings")
@@ -338,7 +337,6 @@ def _apply_r2_delete(d: GaussDiagram, m: Move):
     # Rotate affected cyclic components so neither pair wraps; slot
     # bookkeeping for the inverse insertion is then exact.  The rotation
     # is invisible to the canonical key.
-    comps = [list(x) for x in d.components]
     if d.cyclic(oc):
         comps[oc] = comps[oc][opos:] + comps[oc][:opos]
         opos = 0
@@ -349,8 +347,6 @@ def _apply_r2_delete(d: GaussDiagram, m: Move):
         upos = 0
     for c in {oc, uc}:
         comps[c] = [e for e in comps[c] if e[0] != a and e[0] != b]
-
-    signs = dict(d.signs)
     sign = signs.pop(a)
     signs.pop(b)
 
@@ -364,13 +360,10 @@ def _apply_r2_delete(d: GaussDiagram, m: Move):
         p, q = arc_of_slot(kf, True, 0), arc_of_slot(kf + 2, True, upos - 2)
     else:
         p, q = (opos if opos < upos else opos - 2), upos
-
-    result = make_diagram(comps, signs, d.long)
-    inv = Move.of("r2_insert", c1=oc, p=p, c2=uc, q=q, sign=sign, order=order)
-    return result, inv
+    return Move.of("r2_insert", c1=oc, p=p, c2=uc, q=q, sign=sign, order=order)
 
 
-def _apply_r2_insert(d: GaussDiagram, m: Move):
+def _apply_r2_insert(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
     c1 = _check_comp(d, m["c1"])
     p = _check_arc(c1, m["p"], d.arc_count(c1))
     sign = m["sign"]
@@ -378,10 +371,8 @@ def _apply_r2_insert(d: GaussDiagram, m: Move):
     if sign not in (1, -1) or order not in ("OU", "UO"):
         raise MoveError(f"bad r2_insert parameters sign={sign} order={order}")
     a, b = _fresh_ids(d, 2)
-    comps = [list(x) for x in d.components]
     slot = slot_of_arc(len(comps[c1]), d.cyclic(c1), p)
-    comps[c1] = comps[c1][:slot] + [(a, OVER), (b, OVER)] + comps[c1][slot:]
-    signs = dict(d.signs)
+    comps[c1][slot:slot] = [(a, OVER), (b, OVER)]
     signs[a], signs[b] = sign, -sign
 
     # The under-arc index q refers to the intermediate lists with the
@@ -391,7 +382,7 @@ def _apply_r2_insert(d: GaussDiagram, m: Move):
     q = _check_arc(c2, m["q"], n_arcs(k2, cyclic2))
     slot2 = slot_of_arc(k2, cyclic2, q)
     pair = [(b, UNDER), (a, UNDER)] if order == "UO" else [(a, UNDER), (b, UNDER)]
-    comps[c2] = comps[c2][:slot2] + pair + comps[c2][slot2:]
+    comps[c2][slot2:slot2] = pair
     # The under pair must not land between the two over endpoints, or the
     # result is not an r2 pattern.
     final1 = comps[c1]
@@ -402,8 +393,7 @@ def _apply_r2_insert(d: GaussDiagram, m: Move):
         or _raw_adjacent(cyclic1, len(final1), pb, pa)
     ):
         raise MoveError("under arc q splits the over pair; not an r2 insertion")
-    result = make_diagram(comps, signs, d.long)
-    return result, Move.of("r2_delete", a=a, b=b)
+    return Move.of("r2_delete", a=a, b=b)
 
 
 # -- R3 ------------------------------------------------------------------
@@ -490,7 +480,7 @@ def _r3_legal(d: GaussDiagram, a, b, c) -> bool:
     )
 
 
-def _apply_r3(d: GaussDiagram, m: Move):
+def _apply_r3(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
     ids = (m["a"], m["b"], m["c"])
     if len(set(ids)) != 3:
         raise MoveError("r3 needs three distinct crossings")
@@ -499,24 +489,19 @@ def _apply_r3(d: GaussDiagram, m: Move):
     triangles = _r3_triangles(d, _sites(d), ids)
     if not triangles:
         raise MoveError(f"crossings {ids} do not form an r3 triangle")
-    comps = [list(x) for x in d.components]
     for c, i, j, _, _ in triangles[0][1]:
         comps[c][i], comps[c][j] = comps[c][j], comps[c][i]
-    result = make_diagram(comps, dict(d.signs), d.long)
-    return result, m
+    return m
 
 
 # -- cobordism moves -----------------------------------------------------
 
 
-def _apply_saddle(d: GaussDiagram, m: Move):
+def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
     c1 = _check_comp(d, m["c1"])
     c2 = _check_comp(d, m["c2"])
     p = _check_arc(c1, m["p"], d.arc_count(c1))
     q = _check_arc(c2, m["q"], d.arc_count(c2))
-    comps = [list(x) for x in d.components]
-    signs = dict(d.signs)
-
     if c1 == c2:
         # Split one component into two.
         if d.cyclic(c1):
@@ -527,27 +512,23 @@ def _apply_saddle(d: GaussDiagram, m: Move):
             piece1, piece2 = seq[:n1], seq[n1:]
             comps[c1] = piece1
             comps.append(piece2)
-            result = make_diagram(comps, signs, d.long)
-            inv = Move.of(
+            return Move.of(
                 "saddle",
                 c1=c1,
                 p=arc_of_slot(len(piece1), True, 0),
                 c2=len(comps) - 1,
                 q=arc_of_slot(len(piece2), True, 0),
             )
-            return result, inv
         # Split the open strand: gaps p and q sever off a circle.
         lo, hi = min(p, q), max(p, q)
         word = comps[0]
         circle = word[lo:hi]
         comps[0] = word[:lo] + word[hi:]
         comps.append(circle)
-        result = make_diagram(comps, signs, d.long)
-        inv = Move.of(
+        return Move.of(
             "saddle", c1=0, p=lo, c2=len(comps) - 1,
             q=arc_of_slot(len(circle), True, 0),
         )
-        return result, inv
 
     # Merge two distinct components.
     if not d.cyclic(c2):
@@ -571,25 +552,22 @@ def _apply_saddle(d: GaussDiagram, m: Move):
         )
     comps[c1] = merged
     del comps[c2]
-    result = make_diagram(comps, signs, d.long)
-    return result, inv
+    return inv
 
 
-def _apply_birth(d: GaussDiagram, m: Move):
-    comps = [list(x) for x in d.components] + [[]]
-    result = make_diagram(comps, dict(d.signs), d.long)
-    return result, Move.of("death", c=len(comps) - 1)
+def _apply_birth(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
+    comps.append([])
+    return Move.of("death", c=len(comps) - 1)
 
 
-def _apply_death(d: GaussDiagram, m: Move):
+def _apply_death(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
     c = _check_comp(d, m["c"])
     if not d.cyclic(c):
         raise MoveError("cannot kill the open strand")
     if d.components[c]:
         raise MoveError(f"component {c} has endpoints; death needs a chordless circle")
-    comps = [list(x) for i, x in enumerate(d.components) if i != c]
-    result = make_diagram(comps, dict(d.signs), d.long)
-    return result, Move.of("birth")
+    del comps[c]
+    return Move.of("birth")
 
 
 _HANDLERS = {

@@ -385,9 +385,17 @@ def search_equivalent(
     """Meet-in-the-middle Reidemeister-move search from a to b.
 
     A found certificate uses R-moves only (all cobordism counters zero).
+    R-moves keep a diagram long or round and keep its number of
+    components, so inputs that differ in either are refused with
+    DiagramError before any search.
     """
     if a.long != b.long:
         raise DiagramError("cannot relate a long and a round diagram")
+    if a.n_components != b.n_components:
+        raise DiagramError(
+            f"cannot relate diagrams with {a.n_components} and "
+            f"{b.n_components} components by R-moves"
+        )
     run = _BestFirst(budget, (a, b))
     key_a, key_b = canonical_key(a), canonical_key(b)
     if key_a == key_b:

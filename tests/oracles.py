@@ -139,6 +139,42 @@ def odd_writhe_oracle(text: str) -> int:
     return total
 
 
+def index_polynomial_oracle(text: str) -> dict[int, int]:
+    """Affine index polynomial of a one-component round code (L. H.
+    Kauffman, arXiv:1211.1601): the sum over crossings of
+    sign * (t^index - 1), as {exponent: coefficient} without zero terms.
+
+    Orient each chord from its over to its under endpoint.  A crossing's
+    index is the signed count of the chords that cross its chord: such a
+    chord counts its sign when its under endpoint lies on the arc from
+    this chord's over endpoint to its under endpoint, and minus its sign
+    when its over endpoint does.  Zero on classical knots; invariant
+    under all generalized Reidemeister moves."""
+    comps = parse_code(text)
+    if len(comps) != 1:
+        raise ValueError("oracle handles one-component codes only")
+    toks = comps[0]
+    n = len(toks)
+    over = {cid: i for i, (cid, role, _) in enumerate(toks) if role == "O"}
+    under = {cid: i for i, (cid, role, _) in enumerate(toks) if role == "U"}
+    sign = {cid: s for cid, _, s in toks}
+    poly: dict[int, int] = {}
+    for cid, s in sign.items():
+        o, u = over[cid], under[cid]
+
+        def on_arc(i: int) -> bool:
+            return 0 < (i - o) % n < (u - o) % n
+
+        index = sum(
+            sign[other] * (on_arc(under[other]) - on_arc(over[other]))
+            for other in sign
+            if other != cid
+        )
+        poly[index] = poly.get(index, 0) + s
+        poly[0] = poly.get(0, 0) - s
+    return {e: c for e, c in poly.items() if c}
+
+
 def carter_genus_oracle(text: str) -> int:
     """Genus from the oracle face count: chi = F - n, g = (2 - chi)/2."""
     comps = parse_code(text)

@@ -133,6 +133,13 @@ class TestSearch:
         assert r.returncode == 0
         assert "status=found" in r.stdout
 
+    def test_search_equiv_component_mismatch_exit_3(self):
+        r = run("search-equiv", "O1+U1+;()", "()", "--max-nodes", "200")
+        assert r.returncode == 3
+        assert r.stderr.startswith("vknots: error: ")
+        assert "components" in r.stderr
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("flag,value", [("--max-nodes", "-1")])
     def test_bad_budget_exit_3(self, flag, value):
         r = run("search-slice", "O1+U1+", flag, value)
@@ -149,7 +156,7 @@ class TestSearch:
 
     def test_budget_flag_defaults_are_search_budget_defaults(self):
         args = build_parser().parse_args(["search-equiv", "O1+U1+", "()"])
-        assert _budget(args, False) == SearchBudget()
+        assert _budget(args) == SearchBudget()
 
     def test_reduce(self):
         r = run("reduce", "O1+U1+O2-U2-", "--max-nodes", "2000")

@@ -1,6 +1,8 @@
 """Move parsing, application, enumeration, and exact inverses."""
 
+import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -19,7 +21,7 @@ from vknots import (
 )
 
 from .conftest import CORPUS, KISHINO, TREFOIL, random_diagram, random_walk
-from .oracles import odd_writhe_oracle
+from .oracles import index_polynomial_oracle, odd_writhe_oracle
 
 R_KINDS = {"r1_delete", "r1_insert", "r2_delete", "r2_insert", "r3"}
 ALL = R_KINDS | {"saddle", "birth", "death"}
@@ -138,19 +140,30 @@ class TestApply:
             enumerate_moves(parse_gauss("O1+O2+U3+U1+U2+O3+"), kinds={"r3"})
         )
 
-    def test_r3_preserves_odd_writhe(self, rng):
-        applied = 0
-        for _ in range(150):
-            d = _random_knot(rng)
-            before = odd_writhe_oracle(render_gauss(d))
-            for m in enumerate_moves(d, kinds={"r3"}):
-                after = apply_move(d, m)
-                assert odd_writhe_oracle(render_gauss(after)) == before, (
-                    render_gauss(d),
-                    render_move(m),
-                )
-                applied += 1
-        assert applied > 20
+    def test_r_moves_preserve_oracles(self, rng):
+        """Every enumerated R-move keeps the odd writhe and the affine
+        index polynomial of a one-component round diagram.
+
+        Limit: an R1 kink's chord crosses no other chord, so its index
+        is 0 and it is even; an r1_insert with the wrong sign or order
+        passes both oracles.  TestEnumerate and TestInverses cover R1.
+        Insertions, which are most of the moves, are applied on the
+        first 40 diagrams only, to keep the test short."""
+        diagrams = [parse_gauss(text) for text in CORPUS]
+        diagrams = [d for d in diagrams if not d.long and d.n_components == 1]
+        diagrams += [_random_knot(rng) for _ in range(150)]
+        applied = Counter()
+        for n, d in enumerate(diagrams):
+            kinds = R_KINDS if n < 40 else {"r1_delete", "r2_delete", "r3"}
+            text = render_gauss(d)
+            before = (odd_writhe_oracle(text), index_polynomial_oracle(text))
+            for m in enumerate_moves(d, kinds=kinds):
+                after = render_gauss(apply_move(d, m))
+                oracles = (odd_writhe_oracle(after), index_polynomial_oracle(after))
+                assert oracles == before, (text, render_move(m))
+                applied[m.kind] += 1
+        assert set(applied) == R_KINDS
+        assert applied["r3"] > 20
 
     def test_reidemeister_walks_preserve_odd_writhe(self, rng):
         for _ in range(60):
@@ -262,3 +275,28 @@ class TestInverses:
             for m in enumerate_moves(d, kinds=ALL):
                 _, inv = apply_move_with_inverse(d, m)
                 assert inv.kind == pairs[m.kind]
+
+
+class TestPinnedOutputs:
+    # sha256 of every enumerated move, its result (own crossing labels)
+    # and its inverse, in enumeration order, on the diagrams below.
+    # Searches expand children exactly as built, so their pinned counters
+    # depend on these exact lists, not only on the results' classes.
+    APPLIER_SHA256 = "ad792a09c20eefe0a86dce9a2c8f9d2e110f1f5a1ed6d20d61c5c4f1063f1631"
+
+    def test_applier_outputs_are_pinned(self):
+        rng = random.Random(20261018)
+        diagrams = [parse_gauss(text) for text in CORPUS]
+        diagrams += [random_diagram(rng, max_crossings=5) for _ in range(150)]
+        h = hashlib.sha256()
+        kinds = set()
+        for d in diagrams:
+            for m in enumerate_moves(d):
+                result, inv = apply_move_with_inverse(d, m)
+                line = "|".join(
+                    (render_move(m), render_gauss(result, relabel=False), render_move(inv))
+                )
+                h.update(line.encode() + b"\n")
+                kinds.add(m.kind)
+        assert kinds == ALL
+        assert h.hexdigest() == self.APPLIER_SHA256

@@ -152,6 +152,13 @@ class TestSearchEquivalent:
                 parse_gauss("L:"), parse_gauss("()"), SearchBudget.small()
             )
 
+    def test_component_count_mismatch(self):
+        # R-moves never change the number of components.
+        with pytest.raises(DiagramError, match="components"):
+            search_equivalent(
+                parse_gauss("O1+U1+;()"), parse_gauss("()"), SearchBudget.small()
+            )
+
 
 class TestReduce:
     def test_reduces_kinked_unknot(self):
