@@ -8,9 +8,10 @@ Two diagrams get the same key exactly when they agree after
 
 Nothing else is quotiented; in particular Reidemeister-equivalent
 diagrams keep distinct keys.  The key doubles as the dedup identity for
-search, which keys every child through `key_and_order`: besides the key
-it returns the winning component order, all the sliceness search needs
-to carry its surface-piece partition into canonical order.
+search, which keys every child once from the endpoint lists and sign
+table the applier core edits, before any diagram is built: besides the
+key it returns the winning component order, all the sliceness search
+needs to carry its surface-piece partition into canonical order.
 `canonicalize` adds the normalizing isomorphism onto the normal form
 the key renders (component permutation, per-component rotation, id
 relabeling), which lets references be transported between diagrams sharing a key: the
@@ -19,25 +20,31 @@ arcs through `map_arc` and `unmap_arc`.
 
 Only the public `canonical_key` is cached.  The certificates layer asks
 it for the same diagrams again and again while it validates a move
-sequence; the searches key their children through the uncached
-`key_and_order` instead, since almost none of them is ever looked up
-twice and a cache would only pin them in memory.
+sequence; the searches key their children uncached, since almost none
+of them is ever looked up twice and a cache would only pin them in
+memory.
 
-The minimum is taken over label-free encodings of (component order,
-rotation) candidates.  Every encoding starts each component with the
-negated length, so only orders sorted by descending length can win;
-permutations are enumerated within equal-length groups only, and
-encoding aborts as soon as a candidate exceeds the incumbent best
-(search keys every child diagram, so this path is hot).
+The key is the least label-free encoding over (component order,
+rotation) candidates.  Each endpoint encodes as one int,
+id * 4 + role * 2 + (sign > 0), the id numbered by first appearance;
+ints compare like the (id, role, sign) triples they stand for.  The
+strand stays first, chorded components follow by descending length and
+chordless circles come last, so every candidate places a component of
+the same length at each position, and the least encoding is the one
+whose segment is least at every position.  The candidates are therefore
+refined one position at a time, keeping only the partial ones tied on
+the least segment so far; of each component tried, only the rotations
+opening with its least first int are encoded.  When several full
+candidates tie (a symmetric diagram), the smallest (order, rotations)
+wins, so the iso is well defined.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import OVER, GaussDiagram
+from .diagram import GaussDiagram
 
 
 @dataclass(frozen=True)
@@ -70,163 +77,108 @@ def canonical_key(d: GaussDiagram) -> str:
 def key_and_order(d: GaussDiagram) -> tuple[str, tuple[int, ...]]:
     """Canonical key plus the winning component order: order[i] is the
     source index of canonical component i."""
-    order, _, code = _best_candidate(d)
-    return _render_code(code, d.long), order
+    return _key_and_order(d.components, d._sign_map, d.long)
+
+
+def _key_and_order(components, sign_map: dict, long: bool) -> tuple[str, tuple[int, ...]]:
+    """`key_and_order` of the diagram with these endpoint lists and sign
+    table, which need not be built: the searches key children this way."""
+    order, _, _, segments = _best_candidate(components, sign_map, long)
+    return _render(segments, long), order
 
 
 def canonicalize(d: GaussDiagram) -> CanonicalResult:
     """Canonical key plus the normalizing iso."""
-    order, rots, code = _best_candidate(d)
-
-    n = len(d.components)
-    comp_perm = [0] * n
-    rotations = [0] * n
-    id_map: dict[int, int] = {}
+    order, rots, ids, segments = _best_candidate(d.components, d._sign_map, d.long)
+    comp_perm = [0] * len(order)
+    rotations = [0] * len(order)
     for new_idx, old_idx in enumerate(order):
         comp_perm[old_idx] = new_idx
-        rotations[old_idx] = r = rots[new_idx]
-        seq = d.components[old_idx]
-        for cid, _ in seq[r:] + seq[:r]:
-            id_map.setdefault(cid, len(id_map) + 1)
-
-    iso = Iso(tuple(comp_perm), tuple(rotations), tuple(sorted(id_map.items())))
-    return CanonicalResult(_render_code(code, d.long), iso)
+        rotations[old_idx] = rots[new_idx]
+    iso = Iso(tuple(comp_perm), tuple(rotations), tuple(sorted(ids.items())))
+    return CanonicalResult(_render(segments, d.long), iso)
 
 
-def _candidate_orders(d: GaussDiagram):
-    """All component orders that can minimize the encoding: the strand
-    pinned first, chorded components by descending length (permuting
-    only within equal-length groups), chordless circles last."""
-    chorded = [i for i in range(len(d.components)) if d.components[i]]
-    circles = [i for i in range(len(d.components)) if not d.components[i]]
-    head: list[int] = []
-    if d.long:
-        head = [0]
-        chorded = [i for i in chorded if i != 0]
-        if 0 in circles:
-            circles.remove(0)
+def _best_candidate(components, sign_map: dict, long: bool):
+    """(order, rotations, id map, segments) of the winning candidate.
 
-    groups: list[list[int]] = []
-    for i in sorted(chorded, key=lambda i: -len(d.components[i])):
-        if groups and len(d.components[groups[-1][0]]) == len(d.components[i]):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    for perm_parts in itertools.product(
-        *(itertools.permutations(g) for g in groups)
-    ):
-        order = list(head)
-        for part in perm_parts:
-            order.extend(part)
-        yield order + circles
-
-
-def _lead_rotations(seq, sign) -> tuple[int, ...]:
-    """Rotations of a leading component that can start the minimal
-    encoding.
-
-    The leading chorded component is encoded before any crossing id is
-    assigned, so its first two tokens encode label-free as
-    (role, sign, second-id-is-new, role, sign); only rotations realizing
-    the minimal such prefix can win.
+    Components are placed one position at a time: the strand, then the
+    chorded components by descending length, then the chordless circles
+    in index order.  Every partial candidate tries each unplaced
+    component of the position's length at each rotation, and only those
+    whose segment is minimal survive to the next position.  Of the
+    candidates left at the end, all encoding alike, the smallest
+    (order, rotations) wins.
     """
-    k = len(seq)
-    if k <= 1:
-        return (0,)
-    best = None
-    rots: list[int] = []
-    for r in range(k):
-        cid0, role0 = seq[r]
-        cid1, role1 = seq[r + 1 - k]
-        sig = (role0, sign[cid0], 1 if cid1 == cid0 else 2, role1, sign[cid1])
-        if best is None or sig < best:
-            best, rots = sig, [r]
-        elif sig == best:
-            rots.append(r)
-    return tuple(rots)
+    # Per component, (crossing id, role * 2 + (sign > 0)) per endpoint.
+    low = [[(cid, role * 2 + (sign_map[cid] > 0)) for cid, role in seq] for seq in components]
+    groups: dict[int, list[int]] = {}
+    for i in range(1 if long else 0, len(components)):
+        groups.setdefault(len(components[i]), []).append(i)
+    circles = tuple(groups.pop(0, ()))
+
+    segments: list[list[int]] = []
+    cands: list[tuple[tuple[int, ...], tuple[int, ...], dict]] = [((), (), {})]
+    if long:
+        seg, ids = _segment(low[0], {})
+        segments.append(seg)
+        cands = [((0,), (0,), ids)]
+    for size in sorted(groups, reverse=True):
+        group = groups[size]
+        for _ in group:
+            best = None
+            survivors: list = []
+            for order, rots, ids in cands:
+                nxt = len(ids) + 1
+                for j in group:
+                    if j in order:
+                        continue
+                    seq = low[j]
+                    # Only rotations opening with the least int can win.
+                    firsts = [(ids.get(cid) or nxt) * 4 + bits for cid, bits in seq]
+                    least = min(firsts)
+                    if best is not None and least > best[0]:
+                        continue
+                    for r in [r for r, v in enumerate(firsts) if v == least]:
+                        seg, new_ids = _segment(seq[r:] + seq[:r], ids)
+                        if best is None or seg < best:
+                            best, survivors = seg, []
+                        elif seg != best:
+                            continue
+                        survivors.append((order + (j,), rots + (r,), new_ids))
+            segments.append(best)
+            cands = survivors
+    order, rots, ids = cands[0] if len(cands) == 1 else min(cands, key=lambda c: c[:2])
+    segments += [[] for _ in circles]
+    return order + circles, rots + (0,) * len(circles), ids, segments
 
 
-def _best_candidate(d: GaussDiagram) -> tuple[tuple[int, ...], tuple[int, ...], list]:
-    """The winning (component order, rotations) and its encoding."""
-    best_code: list | None = None
-    best_order: tuple[int, ...] = ()
-    best_rots: tuple[int, ...] = ()
-    for order in _candidate_orders(d):
-        rot_ranges = []
-        lead = True  # no crossing ids assigned before this component
-        for i in order:
-            if not d.cyclic(i) or not d.components[i]:
-                rot_ranges.append((0,))
-                lead = lead and not d.components[i]
-            elif lead:
-                rot_ranges.append(_lead_rotations(d.components[i], d._sign_map))
-                lead = False
-            else:
-                rot_ranges.append(tuple(range(len(d.components[i]))))
-        for rots in itertools.product(*rot_ranges):
-            code = _encode_abort(d, order, rots, best_code)
-            if code is not None:
-                best_code, best_order, best_rots = code, tuple(order), rots
-    return best_order, best_rots, best_code
+def _segment(seq, ids: dict) -> tuple[list[int], dict]:
+    """Encode one placed component: each endpoint as one int,
+    id * 4 + role * 2 + (sign > 0), the id numbered by first appearance
+    after the components `ids` already numbers.  Returns the segment and
+    `ids` extended by this component's new ids."""
+    ids = ids.copy()
+    return [ids.setdefault(cid, len(ids) + 1) * 4 + bits for cid, bits in seq], ids
 
 
-def _encode_abort(d: GaussDiagram, order, rots, best) -> list | None:
-    """Label-free encoding of one candidate; None once it provably
-    compares greater-or-equal to `best`.
+class _Tokens(dict):
+    """Endpoint int -> its Gauss-code token, made on first use: a memo
+    of a pure function, four entries per crossing id ever rendered."""
 
-    Each component encodes as its negated length followed by one
-    (first-appearance id, role, sign) triple per endpoint.  All
-    candidates of one diagram encode to the same length, so a
-    non-strictly-smaller candidate can be dropped as soon as it matches
-    or exceeds the incumbent prefix.
-    """
-    sign = d._sign_map
-    id_map: dict[int, int] = {}
-    out: list[int] = []
-    better = best is None
-    for i, r in zip(order, rots):
-        seq = d.components[i]
-        k = len(seq)
-        if not better:
-            bv = best[len(out)]
-            if -k > bv:
-                return None
-            better = -k < bv
-        out.append(-k)
-        for cid, role in seq[r:] + seq[:r]:
-            new = id_map.get(cid)
-            if new is None:
-                new = id_map[cid] = len(id_map) + 1
-            triple = [new, role, sign[cid]]
-            if not better:
-                incumbent = best[len(out) : len(out) + 3]
-                if triple > incumbent:
-                    return None
-                better = triple < incumbent
-            out += triple
-    return out if better else None
+    def __missing__(self, v: int) -> str:
+        tok = self[v] = ("U" if v & 2 else "O") + str(v >> 2) + ("+" if v & 1 else "-")
+        return tok
 
 
-def _render_code(code: list, long: bool) -> str:
-    """Canonical key string of a winning encoding: its Gauss code with
-    crossings numbered by first appearance (identical to rendering the
-    normal form)."""
-    parts = []
-    pos = 0
-    while pos < len(code):
-        k = -code[pos]
-        end = pos + 1 + 3 * k
-        parts.append(
-            "".join(
-                ("O" if code[j + 1] == OVER else "U")
-                + str(code[j])
-                + ("+" if code[j + 2] > 0 else "-")
-                for j in range(pos + 1, end, 3)
-            )
-            or "()"
-        )
-        pos = end
-    body = ";".join(parts)
+_TOKENS = _Tokens()
+
+
+def _render(segments: list[list[int]], long: bool) -> str:
+    """Canonical key string of the winning segments: their Gauss code
+    with crossings numbered by first appearance (identical to rendering
+    the normal form)."""
+    body = ";".join("".join(map(_TOKENS.__getitem__, seg)) or "()" for seg in segments)
     if long:
         return "L:" if body == "()" else "L:" + body
     return body

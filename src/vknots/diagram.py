@@ -113,25 +113,7 @@ def read_after(seq, arc: int):
 
 
 def _check_invariants(d: GaussDiagram) -> None:
-    # Hot path (every move application builds a diagram): tally each id
-    # as over=1 / under=4, so a well-formed crossing totals exactly 5;
-    # the slow diagnosis below runs only on failure.
-    seen: dict[int, int] = {}
-    get = seen.get
-    for comp in d.components:
-        for cid, role in comp:
-            if role == OVER:
-                seen[cid] = get(cid, 0) + 1
-            elif role == UNDER:
-                seen[cid] = get(cid, 0) + 4
-            else:
-                raise DiagramError(f"bad role {role!r} for crossing {cid}")
-    sign_map = d._sign_map
-    if len(seen) != len(sign_map):
-        _diagnose(d)
-    for cid, v in seen.items():
-        if v != 5 or cid not in sign_map:
-            _diagnose(d)
+    _check_endpoints(d.components, d._sign_map)
     prev = None
     for cid, s in d.signs:
         if s != 1 and s != -1:
@@ -145,16 +127,41 @@ def _check_invariants(d: GaussDiagram) -> None:
         raise DiagramError("long diagram must have an open strand component")
 
 
-def _diagnose(d: GaussDiagram) -> None:
+def _check_endpoints(components, sign_map: dict) -> None:
+    """Every crossing of `sign_map` has one over and one under endpoint
+    among `components`, and no other crossing has any.
+
+    Hot path (every diagram and every search child is checked): tally
+    each id as over=1 / under=4, so a well-formed crossing totals exactly
+    5; the slow diagnosis below runs only on failure.
+    """
+    seen: dict[int, int] = {}
+    get = seen.get
+    for comp in components:
+        for cid, role in comp:
+            if role == OVER:
+                seen[cid] = get(cid, 0) + 1
+            elif role == UNDER:
+                seen[cid] = get(cid, 0) + 4
+            else:
+                raise DiagramError(f"bad role {role!r} for crossing {cid}")
+    if len(seen) != len(sign_map):
+        _diagnose(components, sign_map)
+    for cid, v in seen.items():
+        if v != 5 or cid not in sign_map:
+            _diagnose(components, sign_map)
+
+
+def _diagnose(components, sign_map: dict) -> None:
     """Pinpoint which endpoint invariant broke; always raises."""
     roles_of: dict[int, list[int]] = {}
-    for comp in d.components:
+    for comp in components:
         for cid, role in comp:
             roles_of.setdefault(cid, []).append(role)
-    if set(roles_of) != set(d._sign_map):
+    if set(roles_of) != set(sign_map):
         raise DiagramError(
             f"crossing ids in components {sorted(roles_of)} do not match "
-            f"sign table {sorted(d._sign_map)}"
+            f"sign table {sorted(sign_map)}"
         )
     for cid, roles in roles_of.items():
         if len(roles) != 2:

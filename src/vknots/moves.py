@@ -34,11 +34,15 @@ component).
 
 All moves are applied functionally: the input diagram is unchanged and
 each application also yields the exact inverse move, so that certificate
-paths can be reversed step by step.  `apply_move_with_inverse` copies the
-endpoint lists and the sign table once and hands both to the kind's
-handler, which checks the move against the input diagram, edits the
-copies in place and returns only the inverse; the result is then built,
-with its invariant check, in that one place.
+paths can be reversed step by step.  The applier core, `_apply_core`,
+copies the endpoint lists and the sign table once and hands both to the
+kind's handler, which checks the move against the input diagram, edits
+the copies in place and returns only the inverse; the core returns the
+edited lists, the table and the inverse.  `apply_move_with_inverse` is
+the wrapper that builds the result from them, with its invariant check,
+in that one place (`_build`).  The searches call the core directly: they
+check and key a child from its lists and build a diagram only for the
+children they keep.
 """
 
 from __future__ import annotations
@@ -189,11 +193,22 @@ def apply_move(d: GaussDiagram, m: Move) -> GaussDiagram:
 
 def apply_move_with_inverse(d: GaussDiagram, m: Move) -> tuple[GaussDiagram, Move]:
     """Apply a move and return (result, exact inverse move on the result)."""
+    comps, signs, inv = _apply_core(d, m)
+    return _build(comps, signs, d.long), inv
+
+
+def _apply_core(d: GaussDiagram, m: Move) -> tuple[list[list[Endpoint]], dict[int, int], Move]:
+    """The result's endpoint lists and sign table, not yet checked, and
+    the exact inverse move on the result."""
     comps = [list(c) for c in d.components]
-    signs = dict(d.signs)
+    signs = dict(d._sign_map)
     inv = _HANDLERS[m.kind](d, m, comps, signs)
-    result = GaussDiagram(tuple(map(tuple, comps)), tuple(sorted(signs.items())), d.long)
-    return result, inv
+    return comps, signs, inv
+
+
+def _build(comps: list, signs: dict, long: bool) -> GaussDiagram:
+    """The diagram of `_apply_core`'s lists, with its invariant check."""
+    return GaussDiagram(tuple(map(tuple, comps)), tuple(sorted(signs.items())), long)
 
 
 def _check_comp(d: GaussDiagram, c) -> int:
@@ -210,7 +225,7 @@ def _check_arc(c: int, arc, n: int) -> int:
 
 
 def _fresh_ids(d: GaussDiagram, count: int) -> list[int]:
-    base = max(d.crossing_ids, default=0)
+    base = d.signs[-1][0] if d.signs else 0  # the sign table is sorted by id
     return [base + i + 1 for i in range(count)]
 
 

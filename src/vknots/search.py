@@ -16,13 +16,17 @@ frontier than max_nodes could ever expand, the run can no longer end in
 certificate the forfeited expansions might have produced needs a larger
 budget to be reported).
 
-Every child is keyed exactly once, through the uncached
-`key_and_order`, so no search fills the module-level `canonical_key`
-cache; only roots and goals go through it.  In the sliceness search a
-state *is* its canonical key: the frontier and the parent pointers hold
-keys, and a diagram is parsed back from its key only when the state is
-popped for expansion (most admitted states never are) or lies on the
-chain a found certificate is rebuilt from.
+A child is never built as a `GaussDiagram` to be keyed: the applier
+core returns its endpoint lists and sign table, the endpoint check
+every diagram gets runs on those lists, and the child is keyed exactly
+once from them, uncached, so no search fills the module-level
+`canonical_key` cache; only roots and goals go through it.  In the
+sliceness search a state *is* its canonical key: the frontier and the
+parent pointers hold keys, and a diagram is parsed back from its key
+only when the state is popped for expansion (most admitted states never
+are) or lies on the chain a found certificate is rebuilt from, so no
+child diagram is built at all.  The equivalence and reduction searches
+keep a diagram per state, built only for a child that is admitted.
 
 A parent pointer names the move that made its state by the move's index
 in the parent's enumeration, not by a `Move`: enumeration is
@@ -58,13 +62,15 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
-from .canonical import canonical_key, key_and_order
+from .canonical import _key_and_order, canonical_key
 from .canonical import canonicalize  # noqa: F401  (bench/tracer.py wraps it)
 from .certificates import CobordismCertificate, _translate_steps, advance_classes
-from .diagram import DiagramError, GaussDiagram, parse_gauss
+from .diagram import DiagramError, GaussDiagram, _check_endpoints, parse_gauss
 from .moves import (
     Move,
     MoveError,
+    _apply_core,
+    _build,
     apply_move,
     apply_move_with_inverse,
     enumerate_moves,
@@ -201,12 +207,12 @@ class _BestFirst:
         status = self.status if cert is None else "found"
         return SearchOutcome(status, cert, self.nodes, dedup, ms)
 
-    def push(self, side: int, diag: GaussDiagram, depth: int, *payload) -> int:
-        """Admit a state with diagram `diag` to frontier `side`; return its seq."""
+    def push(self, side: int, size: int, depth: int, *payload) -> int:
+        """Admit a state of `size` crossings plus components to frontier
+        `side`; return its seq."""
         seq = self.seq
         self.seq += 1
-        prio = diag.n_crossings + diag.n_components
-        heapq.heappush(self.frontiers[side], (prio, seq, depth, *payload))
+        heapq.heappush(self.frontiers[side], (size, seq, depth, *payload))
         return seq
 
     def states(self, stop_when_overfull: bool = True):
@@ -273,34 +279,34 @@ class _BestFirst:
     def children(
         self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0),
         classes: tuple[int, ...] = (),
-    ) -> list[tuple[int, Move, GaussDiagram, tuple[int, ...]]]:
-        """(index, move, child, classes) for each move allowed from `diag`
-        at cobordism counters `spent` whose result stays within the caps,
-        in enumeration order; index is the move's position in the
-        enumeration of `kinds(diag, spent)`.
+    ):
+        """Yield (index, move, key, order, comps, signs, classes) for each
+        move allowed from `diag` at cobordism counters `spent` whose
+        result stays within the caps, in enumeration order; index is the
+        move's position in the enumeration of `kinds(diag, spent)`.
 
-        In a cobordism search `classes` labels the surface piece of each
-        component of `diag` and is carried across the move; a move that
-        closes off a piece is dropped.  The caller keys each child once
-        with `key_and_order`: applying every move before keying any child
-        ran 5-10% faster on the slice searches than applying and keying
-        in turn, lazily or not (CPython 3.11, 2-core Xeon VM)."""
+        A child is the endpoint lists `comps` and sign table `signs` the
+        applier core edits, never a `GaussDiagram`: its endpoints are
+        checked and it is keyed once, with the winning component order,
+        from those lists.  In a cobordism search `classes` labels the
+        surface piece of each component of `diag` and is carried across
+        the move; a move that closes off a piece is dropped."""
         cap_n, cap_c = self.cap_n, self.cap_c
-        out = []
         for i, m in enumerate(enumerate_moves(diag, kinds=self.kinds(diag, spent))):
             try:
-                child = apply_move(diag, m)
+                comps, signs, _ = _apply_core(diag, m)
             except MoveError:
                 continue
-            if child.n_crossings > cap_n or child.n_components > cap_c:
+            _check_endpoints(comps, signs)
+            if len(signs) > cap_n or len(comps) > cap_c:
                 continue
             child_classes = classes
             if self.cobordism:
                 child_classes, closed = advance_classes(classes, m, diag)
                 if closed:
                     continue  # would disconnect the cobordism surface
-            out.append((i, m, child, child_classes))
-        return out
+            key, order = _key_and_order(comps, signs, diag.long)
+            yield i, m, key, order, comps, signs, child_classes
 
 
 # -- sliceness -----------------------------------------------------------
@@ -350,11 +356,12 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
     dedup = _Dedup(budget)
     dedup.admit(root_key, (0, 0, 0), 0)
     # payload: (key, (s, b, d), classes)
-    run.push(0, d, 0, root_key, (0, 0, 0), (0,))
+    run.push(0, d.n_crossings + d.n_components, 0, root_key, (0, 0, 0), (0,))
     for _, (_, sq, depth, key, spent, classes) in run.states():
         diag = parse_gauss(key)
-        for index, m, child, raw_classes in run.children(diag, spent, classes):
-            child_key, order = key_and_order(child)
+        for index, m, child_key, order, comps, signs, raw_classes in run.children(
+            diag, spent, classes
+        ):
             child_spent = _spend(spent, m.kind)
             s, b, dd = child_spent
             if child_key == goal_key and s == b + dd:
@@ -369,7 +376,7 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
             if not dedup.admit(child_key + tag, child_spent, depth + 1):
                 continue
             seq = run.push(
-                0, child, depth + 1, child_key,
+                0, len(signs) + len(comps), depth + 1, child_key,
                 dedup.share(child_spent), dedup.share(child_classes),
             )
             parents[seq] = (sq, index, child_key)
@@ -403,12 +410,14 @@ def search_equivalent(
 
     # payload: the state's diagram; visited[side]: key -> seq of the
     # state on that side, whose path is read back through `parents`
-    visited = ({key_a: run.push(0, a, 0, a)}, {key_b: run.push(1, b, 0, b)})
+    visited = (
+        {key_a: run.push(0, a.n_crossings + a.n_components, 0, a)},
+        {key_b: run.push(1, b.n_crossings + b.n_components, 0, b)},
+    )
     parents: dict[int, tuple[int, int]] = {}  # seq -> (parent, index)
     hits = 0
     for side, (_, sq, depth, diag) in run.states():
-        for index, _, child, _ in run.children(diag):
-            key = key_and_order(child)[0]
+        for index, _, key, _, comps, signs, _ in run.children(diag):
             if key in visited[side]:
                 hits += 1
                 continue
@@ -417,7 +426,10 @@ def search_equivalent(
                 there = [i for _, i in _chain(parents, visited[1 - side][key])]
                 path_a, path_b = (here, there) if side == 0 else (there, here)
                 return run.outcome(_splice(a, b, path_a, path_b, run.move), hits)
-            seq = visited[side][key] = run.push(side, child, depth + 1, child)
+            child = _build(comps, signs, diag.long)
+            seq = visited[side][key] = run.push(
+                side, len(signs) + len(comps), depth + 1, child
+            )
             parents[seq] = (sq, index)
     return run.outcome(None, hits)
 
@@ -468,13 +480,13 @@ def reduce_diagram(
     dedup = _Dedup(budget)
     dedup.admit(canonical_key(d), (0, 0, 0), 0)
     run = _BestFirst(budget, (d,))
-    run.push(0, d, 0, d)  # payload: the state's diagram
+    run.push(0, d.n_crossings + d.n_components, 0, d)  # payload: the state's diagram
     # No early stop: the best diagram seen improves until the last node.
     for _, (_, _, depth, diag) in run.states(stop_when_overfull=False):
-        for _, _, child, _ in run.children(diag):
-            key = key_and_order(child)[0]
+        for _, _, key, _, comps, signs, _ in run.children(diag):
             if not dedup.admit(key, (0, 0, 0), depth + 1):
                 continue
+            child = _build(comps, signs, diag.long)
             if child.n_crossings <= best_rank[0]:
                 g = carter_genus(child)
                 min_genus = min(min_genus, g)
@@ -483,5 +495,5 @@ def reduce_diagram(
                     best, best_rank = child, rank
                     if best_rank == (0, 0):  # nothing smaller exists
                         return best, min_genus
-            run.push(0, child, depth + 1, child)
+            run.push(0, len(signs) + len(comps), depth + 1, child)
     return best, min_genus

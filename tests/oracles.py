@@ -182,3 +182,22 @@ def carter_genus_oracle(text: str) -> int:
     chi = face_count(text) - n
     assert (2 - chi) % 2 == 0
     return (2 - chi) // 2
+
+
+def certificate_ends(text: str) -> tuple[str, str]:
+    """The start and end codes of a certificate text, read from its
+    `start:` and `end:` lines."""
+    ends = {}
+    for line in text.splitlines():
+        for tag in ("start:", "end:"):
+            if line.startswith(tag):
+                ends[tag] = line[len(tag):].strip()
+    return ends["start:"], ends["end:"]
+
+
+def assert_ends_agree(text: str) -> None:
+    """Both ends of a round knot concordance's text share the odd writhe
+    and the index polynomial, each a concordance invariant."""
+    start, end = certificate_ends(text)
+    assert odd_writhe_oracle(start) == odd_writhe_oracle(end), text
+    assert index_polynomial_oracle(start) == index_polynomial_oracle(end), text

@@ -1,9 +1,19 @@
 """Canonical keys: invariance, separation, and a brute-force differential."""
 
+import hashlib
 import itertools
+import random
 
-from vknots import GaussDiagram, canonical_key, canonicalize, parse_gauss, render_gauss
-from vknots.canonical import map_arc, unmap_arc
+from vknots import (
+    GaussDiagram,
+    apply_move,
+    canonical_key,
+    canonicalize,
+    enumerate_moves,
+    parse_gauss,
+    render_gauss,
+)
+from vknots.canonical import key_and_order, map_arc, unmap_arc
 from vknots.diagram import relabel_first_appearance
 
 from .conftest import CORPUS, KISHINO, random_diagram, scrambled
@@ -132,3 +142,29 @@ class TestIso:
                 for arc in range(arcs):
                     nc, na = map_arc(res.iso, d, comp, arc)
                     assert unmap_arc(res.iso, d, nc, na) == (comp, arc)
+
+
+class TestPinnedOutputs:
+    # sha256 of key_and_order, canonicalize's key and its iso, on the
+    # diagrams below; captured before the encoder was rewritten, so the
+    # keys, the winning component orders and the isos stay as they were.
+    CANONICAL_SHA256 = "13e133f54d68b346c5716864abf2b2c400b17be74e2597e640a9406c995cc542"
+
+    def test_canonical_outputs_are_pinned(self):
+        rng = random.Random(20261019)
+        diagrams = [parse_gauss(text) for text in CORPUS]
+        for _ in range(1000):
+            d = random_diagram(rng, max_crossings=5)
+            diagrams += [d, scrambled(d, rng)]
+        h = hashlib.sha256()
+        count = 0
+        for d in diagrams:
+            children = [
+                apply_move(d, m) for m in enumerate_moves(d) if m.kind != "r2_insert"
+            ]
+            for x in [d, *children]:
+                res = canonicalize(x)
+                h.update(repr((key_and_order(x), res.key, res.iso)).encode() + b"\n")
+                count += 1
+        assert count > 100_000
+        assert h.hexdigest() == self.CANONICAL_SHA256

@@ -34,7 +34,8 @@ from vknots.certificates import (
 )
 from vknots.moves import ALL_KINDS
 
-from .conftest import KISHINO, TREFOIL, random_diagram, random_walk, scrambled
+from .conftest import KISHINO, SRC, TREFOIL, random_diagram, random_walk, scrambled
+from .oracles import assert_ends_agree
 
 R_KINDS = {"r1_insert", "r2_insert", "r1_delete", "r2_delete", "r3"}
 
@@ -136,6 +137,12 @@ class TestValidate:
         assert report.ok
         assert (report.saddles, report.births, report.deaths) == (1, 0, 1)
         assert report.record() == "valid=yes verdict=concordance s=1 b=0 d=1"
+
+    def test_bundled_kishino_ends_agree_on_oracles(self):
+        text = (SRC / "vknots" / "data" / "kishino_concordance.cert").read_text()
+        cert = parse_certificate(text)
+        assert validate_certificate(cert, "concordance").ok
+        assert_ends_agree(render_certificate(cert))
 
     def test_kishino_slice_disk(self):
         text = KISHINO_CONCORDANCE.replace("end: ()", "death c=0\nend:")
@@ -260,6 +267,12 @@ class TestTransports:
             assert closed.counters() == cert.counters()
             assert validate_certificate(closed, "concordance").ok
             assert canonical_key(closed.start) == canonical_key(closure(cert.start))
+
+    def test_closures_agree_on_oracles(self, rng):
+        for cert in self._long_unknot_certificates(rng):
+            closed = transport_long_to_closure(cert)
+            assert validate_certificate(closed, "concordance").ok
+            assert_ends_agree(render_certificate(closed))
 
     def test_closure_to_long_shifts_counters(self, rng):
         for cert in self._long_unknot_certificates(rng):

@@ -4,9 +4,11 @@ import tracemalloc
 
 import pytest
 
+import vknots.moves
 import vknots.search
 from vknots import (
     DiagramError,
+    GaussDiagram,
     SearchBudget,
     canonical_key,
     carter_genus,
@@ -22,6 +24,7 @@ from vknots import (
 )
 
 from .conftest import KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_walk
+from .oracles import assert_ends_agree
 
 KISHINO_BUDGET = SearchBudget(
     max_crossings=8,
@@ -209,6 +212,37 @@ class TestCaches:
         assert canonical_key.cache_info().currsize <= 64
 
 
+class TestChildKeying:
+    def test_slice_search_builds_no_child_diagram(self, monkeypatch):
+        # Children are checked and keyed from the applier core's endpoint
+        # lists; diagrams are built for the root, each popped state and
+        # the found chain only (about 19,600 when every child was built).
+        built = 0
+        check = GaussDiagram.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            check(self)
+
+        monkeypatch.setattr(GaussDiagram, "__post_init__", counted)
+        out = search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
+        assert (out.status, out.nodes, out.dedup) == ("found", 41, 1976)
+        assert built <= 200
+
+    def test_child_endpoints_are_checked(self, monkeypatch):
+        kink = vknots.moves._HANDLERS["r1_insert"]
+
+        def drop_endpoint(d, m, comps, signs):
+            inv = kink(d, m, comps, signs)
+            comps[m["c"]].pop()
+            return inv
+
+        monkeypatch.setitem(vknots.moves._HANDLERS, "r1_insert", drop_endpoint)
+        with pytest.raises(DiagramError):
+            search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
+
+
 class TestDeterminism:
     def test_equivalence_repeats_identically(self):
         a, b = parse_gauss("O1+U1+O2-U2-"), parse_gauss("()")
@@ -278,6 +312,13 @@ class TestGoldenCertificates:
         assert (out.status, out.nodes, out.dedup) == ("found", *counters)
         assert render_certificate(out.certificate) == text
         assert validate_certificate(out.certificate, "concordance").ok
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_ends_agree_on_oracles(self, name):
+        search, _, _ = self.CASES[name]
+        out = search()
+        assert validate_certificate(out.certificate, "concordance").ok
+        assert_ends_agree(render_certificate(out.certificate))
 
 
 class TestMemory:
