@@ -267,11 +267,6 @@ class TestTransports:
             assert closed.counters() == cert.counters()
             assert validate_certificate(closed, "concordance").ok
             assert canonical_key(closed.start) == canonical_key(closure(cert.start))
-
-    def test_closures_agree_on_oracles(self, rng):
-        for cert in self._long_unknot_certificates(rng):
-            closed = transport_long_to_closure(cert)
-            assert validate_certificate(closed, "concordance").ok
             assert_ends_agree(render_certificate(closed))
 
     def test_closure_to_long_shifts_counters(self, rng):
