@@ -50,8 +50,9 @@ partitions admit different completions.
 Expansion is deterministic best-first on crossing count plus component
 count, biased toward simplification (deletion moves are enumerated
 first).  All three searches run through the one loop of `_BestFirst`,
-which owns popping, the node and depth caps and expansion, and leaves
-each search its frontier payload, keying, admission and goal test.
+which owns popping, the node and depth caps, expansion and the keying
+of children, and leaves each search its frontier payload, admission and
+goal test.
 """
 
 from __future__ import annotations
@@ -181,10 +182,10 @@ class _BestFirst:
     There is one frontier per root diagram, a heap of entries
     (priority, seq, depth, *payload) popped in (priority, seq) order;
     the payload is the search's own.  `states` pops one state from each
-    nonempty frontier in turn and `children` expands a popped state, so
-    a search supplies only its payload, the keying and admission of
-    children and its goal test.  The caps on crossings and components
-    are the budget's, raised to fit the roots.
+    nonempty frontier in turn and `children` expands a popped state and
+    keys its children, so a search supplies only its payload, the
+    admission of children and its goal test.  The caps on crossings and
+    components are the budget's, raised to fit the roots.
     """
 
     def __init__(
