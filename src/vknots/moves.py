@@ -41,8 +41,8 @@ the copies in place and returns only the inverse; the core returns the
 edited lists, the table and the inverse.  `apply_move_with_inverse` is
 the wrapper that builds the result from them, with its invariant check,
 in that one place (`_build`).  The searches call the core directly: they
-check and key a child from its lists and build a diagram only for the
-children they keep.
+check and key a child from its lists, keep it as its key and build a
+diagram only for a reduction candidate, whose Carter genus needs one.
 """
 
 from __future__ import annotations
@@ -131,11 +131,13 @@ def parse_move(line: str) -> Move:
         raise MoveError(f"unrecognized move line {line!r}")
     kind = _TEXT_TO_KIND[parts[0]]
     roles = _ROLES[kind]
-    params: dict[str, object] = {"sign": 1} if "sign" in roles else {}
+    params: dict[str, object] = {}
     for item in parts[1:]:
         key, eq, value = item.partition("=")
         if not eq:
             raise MoveError(f"bad parameter {item!r} in {line!r}")
+        if key in params:
+            raise MoveError(f"repeated parameter {key!r} in {line!r}")
         role = roles.get(key)
         if role in ("id", "comp", "arc"):
             try:
@@ -148,6 +150,8 @@ def parse_move(line: str) -> Move:
             params[key] = 1 if value == "+" else -1
         else:
             params[key] = value
+    if "sign" in roles:
+        params.setdefault("sign", 1)
     return Move.of(kind, **params)
 
 

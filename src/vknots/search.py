@@ -20,20 +20,20 @@ A child is never built as a `GaussDiagram` to be keyed: the applier
 core returns its endpoint lists and sign table, the endpoint check
 every diagram gets runs on those lists, and the child is keyed exactly
 once from them, uncached, so no search fills the module-level
-`canonical_key` cache; only roots and goals go through it.  In the
-sliceness search a state *is* its canonical key: the frontier and the
-parent pointers hold keys, and a diagram is parsed back from its key
-only when the state is popped for expansion (most admitted states never
-are) or lies on the chain a found certificate is rebuilt from, so no
-child diagram is built at all.  The equivalence and reduction searches
-keep a diagram per state, built only for a child that is admitted.
+`canonical_key` cache; only roots and goals go through it.  In every
+search a state *is* its canonical key: the frontier and the parent
+pointers hold keys, and a diagram is parsed back from its key only when
+the state is popped for expansion (roots too; most admitted states
+never are) or lies on a found chain.  The one child diagram built is a
+reduction candidate no larger than the best seen, for its Carter genus.
 
-A parent pointer names the move that made its state by the move's index
-in the parent's enumeration, not by a `Move`: enumeration is
-deterministic, so a found chain is rebuilt by enumerating again the few
-diagrams on it.  Small tuples (cobordism counters, dedup vectors,
-surface partitions) take only a handful of distinct values, and each
-search shares one tuple per value among its states.
+A parent pointer (parent seq, move index, key) names the move that made
+its state by the move's index in the parent's enumeration, not by a
+`Move`: enumeration is deterministic, so a found chain is rebuilt by
+enumerating again the few diagrams on it, then translated onto the
+input.  Small tuples (cobordism counters, dedup vectors, surface
+partitions) take only a handful of distinct values, and each search
+shares one tuple per value among its states.
 
 States are deduplicated on (canonical key, spent cobordism counters,
 depth) with dominance: a state is skipped when an already-visited state
@@ -50,9 +50,9 @@ partitions admit different completions.
 Expansion is deterministic best-first on crossing count plus component
 count, biased toward simplification (deletion moves are enumerated
 first).  All three searches run through the one loop of `_BestFirst`,
-which owns popping, the node and depth caps, expansion and the keying
-of children, and leaves each search its frontier payload, admission and
-goal test.
+which owns popping and parsing, the node and depth caps, expansion, the
+keying of children and the rebuilding of a found chain, and leaves each
+search the rest of its frontier payload, admission and goal test.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 from .canonical import _key_and_order, canonical_key
@@ -72,10 +71,10 @@ from .moves import (
     MoveError,
     _apply_core,
     _build,
-    apply_move,
     apply_move_with_inverse,
     enumerate_moves,
 )
+from .moves import apply_move  # noqa: F401  (bench/tracer.py wraps it)
 from .surface import carter_genus
 
 
@@ -180,12 +179,14 @@ class _BestFirst:
     """The best-first loop that all three searches run through.
 
     There is one frontier per root diagram, a heap of entries
-    (priority, seq, depth, *payload) popped in (priority, seq) order;
-    the payload is the search's own.  `states` pops one state from each
-    nonempty frontier in turn and `children` expands a popped state and
-    keys its children, so a search supplies only its payload, the
-    admission of children and its goal test.  The caps on crossings and
-    components are the budget's, raised to fit the roots.
+    (priority, seq, depth, key, *payload) popped in (priority, seq)
+    order; the state's canonical key opens the payload and the rest is
+    the search's own.  `states` pops one state from each nonempty
+    frontier in turn and parses its key, `children` expands a popped
+    state and keys its children, and `line` rebuilds a found chain, so a
+    search supplies only its payload, the admission of children and its
+    goal test.  The caps on crossings and components are the budget's,
+    raised to fit the roots.
     """
 
     def __init__(
@@ -217,7 +218,8 @@ class _BestFirst:
         return seq
 
     def states(self, stop_when_overfull: bool = True):
-        """Yield (side, entry) for each popped state below the depth cap.
+        """Yield (side, entry, diagram) for each popped state below the
+        depth cap, the diagram parsed from the entry's key.
 
         Every pop counts as a node, also of a state at the depth cap,
         which is dropped before any work is spent on it.  The run stops
@@ -244,7 +246,7 @@ class _BestFirst:
                 entry = heapq.heappop(heap)
                 self.nodes += 1
                 if entry[2] < budget.max_depth:
-                    yield side, entry
+                    yield side, entry, parse_gauss(entry[3])
 
     def kinds(
         self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0)
@@ -268,14 +270,23 @@ class _BestFirst:
                 kinds.add("death")
         return kinds
 
-    def move(
-        self, diag: GaussDiagram, index: int,
-        spent: tuple[int, int, int] = (0, 0, 0),
-    ) -> Move:
-        """The move that `children` numbered `index` from `diag` at
-        `spent`, read off the enumeration by iteration."""
-        moves = enumerate_moves(diag, kinds=self.kinds(diag, spent))
-        return next(itertools.islice(moves, index, None))
+    def line(
+        self, root_key: str, chain: list[tuple[int, int, str]]
+    ) -> tuple[list[GaussDiagram], list[Move]]:
+        """The reference line (refs, steps) of a chain of parent records
+        (parent, index, key) from the root keyed `root_key`: the
+        diagrams parsed from the keys, and the move `children` numbered
+        each index from the diagram before it, read off its enumeration
+        with the cobordism counters carried forward from (0, 0, 0)."""
+        refs = [parse_gauss(root_key)]
+        steps: list[Move] = []
+        spent = (0, 0, 0)
+        for _, index, key in chain:
+            moves = enumerate_moves(refs[-1], kinds=self.kinds(refs[-1], spent))
+            steps.append(next(itertools.islice(moves, index, None)))
+            spent = _spend(spent, steps[-1].kind)
+            refs.append(parse_gauss(key))
+        return refs, steps
 
     def children(
         self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0),
@@ -316,12 +327,6 @@ class _BestFirst:
 def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
     """Search for a concordance from a round knot to the unknot.
 
-    The frontier holds canonical keys, not diagrams or paths: a state's
-    diagram is parsed from its key when the state is popped for
-    expansion, paths are reconstructed through parent pointers, and a
-    found path is translated back onto the input diagram's own replay
-    line, which keeps memory per state small.
-
     The source paper's main theorem: a classical knot is virtually slice
     if and only if it is classically slice.  So for a classical input a
     classical concordance obstruction proves that no certificate exists
@@ -339,34 +344,22 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
         return run.outcome(CobordismCertificate(d, (), parse_gauss("()")), 0)
 
     parents: dict[int, tuple[int, int, str]] = {}  # seq -> (parent, index, key)
-
-    def certificate(final_seq: int, last_index: int) -> CobordismCertificate:
-        chain = _chain(parents, final_seq)
-        keys = [root_key] + [key for _, _, key in chain] + [goal_key]
-        # canonical keys parse back to the canonical normal form, which
-        # is the diagram each state on the chain was expanded from
-        refs = [parse_gauss(key) for key in keys]
-        steps = []
-        spent = (0, 0, 0)
-        for ref, index in zip(refs, [i for _, i, _ in chain] + [last_index]):
-            steps.append(run.move(ref, index, spent))
-            spent = _spend(spent, steps[-1].kind)
-        translated = _translate_steps(refs, tuple(steps), d)
-        return CobordismCertificate(d, tuple(translated), parse_gauss("()"))
-
     dedup = _Dedup(budget)
     dedup.admit(root_key, (0, 0, 0), 0)
     # payload: (key, (s, b, d), classes)
     run.push(0, d.n_crossings + d.n_components, 0, root_key, (0, 0, 0), (0,))
-    for _, (_, sq, depth, key, spent, classes) in run.states():
-        diag = parse_gauss(key)
+    for _, (_, sq, depth, _, spent, classes), diag in run.states():
         for index, m, child_key, order, comps, signs, raw_classes in run.children(
             diag, spent, classes
         ):
             child_spent = _spend(spent, m.kind)
             s, b, dd = child_spent
             if child_key == goal_key and s == b + dd:
-                return run.outcome(certificate(sq, index), dedup.hits)
+                chain = _chain(parents, sq) + [(sq, index, child_key)]
+                refs, steps = run.line(root_key, chain)
+                translated = _translate_steps(refs, tuple(steps), d)
+                cert = CobordismCertificate(d, tuple(translated), refs[-1])
+                return run.outcome(cert, dedup.hits)
             # the partition in canonical component order, relabeled by
             # first appearance so it is isomorphism-invariant
             relabel: dict[int, int] = {}
@@ -409,53 +402,50 @@ def search_equivalent(
     if key_a == key_b:
         return run.outcome(CobordismCertificate(a, (), b), 0)
 
-    # payload: the state's diagram; visited[side]: key -> seq of the
-    # state on that side, whose path is read back through `parents`
+    # visited[side]: key -> seq of the state on that side, whose chain is
+    # read back through `parents`
     visited = (
-        {key_a: run.push(0, a.n_crossings + a.n_components, 0, a)},
-        {key_b: run.push(1, b.n_crossings + b.n_components, 0, b)},
+        {key_a: run.push(0, a.n_crossings + a.n_components, 0, key_a)},
+        {key_b: run.push(1, b.n_crossings + b.n_components, 0, key_b)},
     )
-    parents: dict[int, tuple[int, int]] = {}  # seq -> (parent, index)
+    parents: dict[int, tuple[int, int, str]] = {}  # seq -> (parent, index, key)
     hits = 0
-    for side, (_, sq, depth, diag) in run.states():
+    for side, (_, sq, depth, _), diag in run.states():
         for index, _, key, _, comps, signs, _ in run.children(diag):
             if key in visited[side]:
                 hits += 1
                 continue
             if key in visited[1 - side]:
-                here = [i for _, i in _chain(parents, sq)] + [index]
-                there = [i for _, i in _chain(parents, visited[1 - side][key])]
-                path_a, path_b = (here, there) if side == 0 else (there, here)
-                return run.outcome(_splice(a, b, path_a, path_b, run.move), hits)
-            child = _build(comps, signs, diag.long)
+                here = _chain(parents, sq) + [(sq, index, key)]
+                there = _chain(parents, visited[1 - side][key])
+                chain_a, chain_b = (here, there) if side == 0 else (there, here)
+                cert = _splice(a, run.line(key_a, chain_a), run.line(key_b, chain_b), b)
+                return run.outcome(cert, hits)
             seq = visited[side][key] = run.push(
-                side, len(signs) + len(comps), depth + 1, child
+                side, len(signs) + len(comps), depth + 1, key
             )
-            parents[seq] = (sq, index)
+            parents[seq] = (sq, index, key)
     return run.outcome(None, hits)
 
 
 def _splice(
-    a: GaussDiagram, b: GaussDiagram, path_a: list[int], path_b: list[int],
-    move: Callable[[GaussDiagram, int], Move],
+    a: GaussDiagram, line_a: tuple[list, list], line_b: tuple[list, list],
+    b: GaussDiagram,
 ) -> CobordismCertificate:
-    """Join the half-paths from a and from b to one meeting state into
-    one a-to-b certificate.  A path lists move indices; `move(diag,
-    index)` names the move each one stands for from the diagram reached."""
-    meet, steps = a, []
-    for index in path_a:
-        steps.append(move(meet, index))
-        meet = apply_move(meet, steps[-1])
-    # Reverse the b-side path: replay it collecting exact inverses.
-    chain = [b]
-    invs = []
-    for index in path_b:
-        nxt, inv = apply_move_with_inverse(chain[-1], move(chain[-1], index))
-        chain.append(nxt)
-        invs.append(inv)
-    # Reversed reference line runs from the meeting state back to b.
-    translated = _translate_steps(chain[::-1], tuple(invs[::-1]), meet)
-    return CobordismCertificate(a, tuple(steps) + tuple(translated), b)
+    """Join the reference lines from the normal forms of a and of b to
+    one meeting state into one a-to-b certificate.
+
+    b's line is reversed through the exact inverse of each step.  An
+    inverse acts on the diagram its step reached, which has the next
+    ref's key but not its labels, so the reversed line runs through the
+    reached diagrams back to b's normal form.  The joined line is
+    translated onto a at once."""
+    refs, steps = line_a
+    refs_b, steps_b = line_b
+    back = [apply_move_with_inverse(r, m) for r, m in zip(refs_b, steps_b)][::-1]
+    line = refs[:-1] + [reached for reached, _ in back] + refs_b[:1]
+    translated = _translate_steps(line, tuple(steps + [inv for _, inv in back]), a)
+    return CobordismCertificate(a, tuple(translated), b)
 
 
 # -- crossing reduction --------------------------------------------------
@@ -478,17 +468,18 @@ def reduce_diagram(
         return d, 0
     min_genus = best_rank[1]
 
+    root_key = canonical_key(d)
     dedup = _Dedup(budget)
-    dedup.admit(canonical_key(d), (0, 0, 0), 0)
+    dedup.admit(root_key, (0, 0, 0), 0)
     run = _BestFirst(budget, (d,))
-    run.push(0, d.n_crossings + d.n_components, 0, d)  # payload: the state's diagram
+    run.push(0, d.n_crossings + d.n_components, 0, root_key)
     # No early stop: the best diagram seen improves until the last node.
-    for _, (_, _, depth, diag) in run.states(stop_when_overfull=False):
+    for _, (_, _, depth, _), diag in run.states(stop_when_overfull=False):
         for _, _, key, _, comps, signs, _ in run.children(diag):
             if not dedup.admit(key, (0, 0, 0), depth + 1):
                 continue
-            child = _build(comps, signs, diag.long)
-            if child.n_crossings <= best_rank[0]:
+            if len(signs) <= best_rank[0]:
+                child = _build(comps, signs, diag.long)
                 g = carter_genus(child)
                 min_genus = min(min_genus, g)
                 rank = (child.n_crossings, g)
@@ -496,5 +487,5 @@ def reduce_diagram(
                     best, best_rank = child, rank
                     if best_rank == (0, 0):  # nothing smaller exists
                         return best, min_genus
-            run.push(0, len(signs) + len(comps), depth + 1, child)
+            run.push(0, len(signs) + len(comps), depth + 1, key)
     return best, min_genus

@@ -77,7 +77,10 @@ class TestMoveText:
 
     @pytest.mark.parametrize(
         "bad",
-        ["r9 x=1", "r1-", "r1- x=a", "death", "r2- a=1", "saddle c1=0", "r1- kind=3"],
+        [
+            "r9 x=1", "r1-", "r1- x=a", "death", "r2- a=1", "saddle c1=0", "r1- kind=3",
+            "r1- x=1 x=2", "r1+ c=0 pos=0 sign=+ sign=- order=OU",
+        ],
     )
     def test_rejects(self, bad):
         with pytest.raises(MoveError):

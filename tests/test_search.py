@@ -26,6 +26,12 @@ from vknots import (
 from .conftest import KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_walk
 from .oracles import assert_ends_agree
 
+# A six-crossing diagram of the unknot that R-moves take to "()"
+SIX_CROSSING_UNKNOT = "O1+U1+O2-O3+O4+U5-U6+O5-O6+U2-U3+U4+"
+UNKNOT_BUDGET = SearchBudget(
+    max_crossings=6, max_components=1, max_nodes=3000, max_depth=12
+)
+
 KISHINO_BUDGET = SearchBudget(
     max_crossings=8,
     max_components=3,
@@ -149,6 +155,19 @@ class TestSearchEquivalent:
         assert (out.status, out.nodes, out.dedup) == ("budget-hit", nodes, dedup)
         assert out.certificate is None
 
+    def test_splice_reverses_a_multi_step_half(self):
+        # The halves meet after 4 moves from a and 3 from b, so b's half
+        # is reversed through several inverses, same-component r2+
+        # included, before the joined line is translated onto a.
+        out = search_equivalent(
+            parse_gauss("O1+U1+O2-U3+O3+U4+U2-O4+"),
+            parse_gauss(SIX_CROSSING_UNKNOT),
+            UNKNOT_BUDGET,
+        )
+        assert out.status == "found"
+        assert validate_certificate(out.certificate, "concordance").ok
+        assert_ends_agree(render_certificate(out.certificate))
+
     def test_long_round_mismatch(self):
         with pytest.raises(DiagramError):
             search_equivalent(
@@ -212,11 +231,33 @@ class TestCaches:
         assert canonical_key.cache_info().currsize <= 64
 
 
+def _counters(out):
+    return out.status, out.nodes, out.dedup
+
+
 class TestChildKeying:
-    def test_slice_search_builds_no_child_diagram(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "search,expected,bound",
+        [
+            # about 19,600 when every child was built
+            (lambda: _counters(search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)),
+             ("found", 41, 1976), 200),
+            # 330 when every admitted child was built
+            (lambda: _counters(search_equivalent(
+                parse_gauss(SIX_CROSSING_UNKNOT), parse_gauss("()"), UNKNOT_BUDGET
+            )), ("found", 4, 16), 40),
+            # 360 when every admitted child was built
+            (lambda: reduce_diagram(parse_gauss(SIX_CROSSING_UNKNOT), UNKNOT_BUDGET),
+             (parse_gauss("()"), 0), 40),
+        ],
+        ids=["slice", "equivalent", "reduce"],
+    )
+    def test_search_builds_no_child_diagram(
+        self, search, expected, bound, monkeypatch
+    ):
         # Children are checked and keyed from the applier core's endpoint
-        # lists; diagrams are built for the root, each popped state and
-        # the found chain only (about 19,600 when every child was built).
+        # lists; diagrams are built for the root, each popped state, the
+        # found chain and a reduction's best candidates only.
         built = 0
         check = GaussDiagram.__post_init__
 
@@ -226,9 +267,8 @@ class TestChildKeying:
             check(self)
 
         monkeypatch.setattr(GaussDiagram, "__post_init__", counted)
-        out = search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
-        assert (out.status, out.nodes, out.dedup) == ("found", 41, 1976)
-        assert built <= 200
+        assert search() == expected
+        assert built <= bound
 
     def test_child_endpoints_are_checked(self, monkeypatch):
         kink = vknots.moves._HANDLERS["r1_insert"]
