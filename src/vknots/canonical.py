@@ -18,11 +18,12 @@ relabeling), which lets references be transported between diagrams sharing a key
 certificates layer carries every translated move through two of them,
 arcs through `map_arc` and `unmap_arc`.
 
-Only the public `canonical_key` is cached.  The certificates layer asks
-it for the same diagrams again and again while it validates a move
-sequence; the searches key their children uncached, since almost none
-of them is ever looked up twice and a cache would only pin them in
-memory.
+Only the public `canonical_key` is cached.  The certificates layer
+calls it a few times per certificate (twice to validate one, four more
+times to lift one onto a long knot), and its hits come from the same
+certificates, ends and goals being keyed again across calls; the
+searches key their children uncached, since almost none of them is ever
+looked up twice and a cache would only pin them in memory.
 
 The key is the least label-free encoding over (component order,
 rotation) candidates.  Each endpoint encodes as one int,
@@ -36,7 +37,9 @@ refined one position at a time, keeping only the partial ones tied on
 the least segment so far; of each component tried, only the rotations
 opening with its least first int are encoded.  When several full
 candidates tie (a symmetric diagram), the smallest (order, rotations)
-wins, so the iso is well defined.
+wins, so the iso is well defined.  The winning segments are written as
+text by `diagram`'s Gauss-code writer, the one `render_gauss` uses, so
+a key is the relabeled render of the normal form.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import GaussDiagram
+from .diagram import GaussDiagram, _write_gauss
 
 
 @dataclass(frozen=True)
@@ -71,20 +74,16 @@ class CanonicalResult:
 
 @lru_cache(maxsize=1 << 18)
 def canonical_key(d: GaussDiagram) -> str:
-    return key_and_order(d)[0]
-
-
-def key_and_order(d: GaussDiagram) -> tuple[str, tuple[int, ...]]:
-    """Canonical key plus the winning component order: order[i] is the
-    source index of canonical component i."""
-    return _key_and_order(d.components, d._sign_map, d.long)
+    return _key_and_order(d.components, d._sign_map, d.long)[0]
 
 
 def _key_and_order(components, sign_map: dict, long: bool) -> tuple[str, tuple[int, ...]]:
-    """`key_and_order` of the diagram with these endpoint lists and sign
-    table, which need not be built: the searches key children this way."""
+    """Canonical key of the diagram with these endpoint lists and sign
+    table, which need not be built (the searches key children this way),
+    plus the winning component order: order[i] is the source index of
+    canonical component i."""
     order, _, _, segments = _best_candidate(components, sign_map, long)
-    return _render(segments, long), order
+    return _write_gauss(segments, long), order
 
 
 def canonicalize(d: GaussDiagram) -> CanonicalResult:
@@ -96,7 +95,7 @@ def canonicalize(d: GaussDiagram) -> CanonicalResult:
         comp_perm[old_idx] = new_idx
         rotations[old_idx] = rots[new_idx]
     iso = Iso(tuple(comp_perm), tuple(rotations), tuple(sorted(ids.items())))
-    return CanonicalResult(_render(segments, d.long), iso)
+    return CanonicalResult(_write_gauss(segments, d.long), iso)
 
 
 def _best_candidate(components, sign_map: dict, long: bool):
@@ -160,28 +159,6 @@ def _segment(seq, ids: dict) -> tuple[list[int], dict]:
     `ids` extended by this component's new ids."""
     ids = ids.copy()
     return [ids.setdefault(cid, len(ids) + 1) * 4 + bits for cid, bits in seq], ids
-
-
-class _Tokens(dict):
-    """Endpoint int -> its Gauss-code token, made on first use: a memo
-    of a pure function, four entries per crossing id ever rendered."""
-
-    def __missing__(self, v: int) -> str:
-        tok = self[v] = ("U" if v & 2 else "O") + str(v >> 2) + ("+" if v & 1 else "-")
-        return tok
-
-
-_TOKENS = _Tokens()
-
-
-def _render(segments: list[list[int]], long: bool) -> str:
-    """Canonical key string of the winning segments: their Gauss code
-    with crossings numbered by first appearance (identical to rendering
-    the normal form)."""
-    body = ";".join("".join(map(_TOKENS.__getitem__, seg)) or "()" for seg in segments)
-    if long:
-        return "L:" if body == "()" else "L:" + body
-    return body
 
 
 def map_arc(iso: Iso, d: GaussDiagram, comp: int, arc: int) -> tuple[int, int]:

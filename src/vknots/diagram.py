@@ -10,6 +10,10 @@ Components of a round diagram are cyclic.  A long diagram has exactly one
 open component (the strand, always component 0, read left to right);
 further components are closed.  A chordless closed component is written
 ``()`` in the textual code; the empty string is the empty link.
+
+This module writes every Gauss code the package emits: `render_gauss`
+and the canonical keys of `canonical` both hand their components, as
+lists of endpoint ints, to one private writer.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ from dataclasses import dataclass, field
 
 OVER = 0
 UNDER = 1
-
-_ROLE_CHAR = {OVER: "O", UNDER: "U"}
-_SIGN_CHAR = {1: "+", -1: "-"}
 
 Endpoint = tuple[int, int]  # (crossing id, role)
 
@@ -233,42 +234,42 @@ def render_gauss(d: GaussDiagram, relabel: bool = True) -> str:
     that text naming those ids (a certificate's moves) still applies to
     the parsed result.
     """
-    if relabel:
-        d, _ = relabel_first_appearance(d)
-    parts = []
-    for comp in d.components:
-        if not comp:
-            parts.append("()")
-        else:
-            parts.append(
-                "".join(
-                    f"{_ROLE_CHAR[role]}{cid}{_SIGN_CHAR[d.sign_of(cid)]}"
-                    for cid, role in comp
-                )
-            )
-    body = ";".join(parts)
-    if d.long:
-        if d.components == ((),):
-            return "L:"
-        return "L:" + body
-    return body
-
-
-def relabel_first_appearance(d: GaussDiagram) -> tuple[GaussDiagram, dict[int, int]]:
-    """Renumber crossing ids 1.. in order of first appearance.
-
-    Returns the relabeled diagram and the old-id -> new-id map.
-    """
-    id_map: dict[int, int] = {}
-    for comp in d.components:
-        for cid, _ in comp:
-            if cid not in id_map:
-                id_map[cid] = len(id_map) + 1
-    comps = tuple(
-        tuple((id_map[cid], role) for cid, role in comp) for comp in d.components
+    sign = d._sign_map
+    ids: dict[int, int] = {}
+    return _write_gauss(
+        [
+            [
+                (ids.setdefault(cid, len(ids) + 1) if relabel else cid) * 4
+                + role * 2 + (sign[cid] > 0)
+                for cid, role in comp
+            ]
+            for comp in d.components
+        ],
+        d.long,
     )
-    signs = tuple(sorted((id_map[cid], s) for cid, s in d.signs))
-    return GaussDiagram(comps, signs, d.long), id_map
+
+
+class _Tokens(dict):
+    """Endpoint int -> its Gauss-code token, made on first use: a memo
+    of a pure function, four entries per crossing id ever written.  The
+    canonical keys and relabeled renders write ids 1.. only; a render
+    with relabel=False adds entries for the raw ids it writes."""
+
+    def __missing__(self, v: int) -> str:
+        tok = self[v] = ("U" if v & 2 else "O") + str(v >> 2) + ("+" if v & 1 else "-")
+        return tok
+
+
+_TOKENS = _Tokens()
+
+
+def _write_gauss(components: list[list[int]], long: bool) -> str:
+    """The Gauss code of components given as lists of endpoint ints,
+    id * 4 + role * 2 + (sign > 0)."""
+    body = ";".join("".join(map(_TOKENS.__getitem__, seg)) or "()" for seg in components)
+    if long:
+        return "L:" if body == "()" else "L:" + body
+    return body
 
 
 # -- unary and binary operations ----------------------------------------

@@ -117,7 +117,9 @@ class Move:
 
     @staticmethod
     def of(kind: str, /, **params) -> "Move":
-        roles = _ROLES[kind]
+        roles = _ROLES.get(kind)
+        if roles is None:
+            raise MoveError(f"unknown move kind {kind!r}")
         if params.keys() != roles.keys():
             raise MoveError(
                 f"{kind} takes parameters {tuple(roles)}, got {sorted(params)}"

@@ -68,7 +68,6 @@ from .certificates import CobordismCertificate, _translate_steps, advance_classe
 from .diagram import DiagramError, GaussDiagram, _check_endpoints, parse_gauss
 from .moves import (
     Move,
-    MoveError,
     _apply_core,
     _build,
     apply_move_with_inverse,
@@ -305,10 +304,7 @@ class _BestFirst:
         the move; a move that closes off a piece is dropped."""
         cap_n, cap_c = self.cap_n, self.cap_c
         for i, m in enumerate(enumerate_moves(diag, kinds=self.kinds(diag, spent))):
-            try:
-                comps, signs, _ = _apply_core(diag, m)
-            except MoveError:
-                continue
+            comps, signs, _ = _apply_core(diag, m)
             _check_endpoints(comps, signs)
             if len(signs) > cap_n or len(comps) > cap_c:
                 continue

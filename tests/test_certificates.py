@@ -8,11 +8,13 @@ import vknots.certificates
 from vknots import (
     CertificateError,
     CobordismCertificate,
+    DiagramError,
     GaussDiagram,
     SearchBudget,
     apply_move,
     canonical_key,
     closure,
+    cut,
     enumerate_moves,
     parse_certificate,
     parse_gauss,
@@ -115,11 +117,15 @@ class TestText:
             "start: ()\nbogus move\nend: ()",
             "end: ()\nstart: ()",
             "start: O1+\nend: ()",
+            "start: ()\nstart: ()\nend: ()",
+            "start: ()\nend: ()\nend: ()",
+            "birth\nstart: ()\nend: ()",
+            "start: ()\nend: ()\nbirth",
         ],
     )
     def test_rejects(self, bad):
-        with pytest.raises((CertificateError, Exception)):
-            cert = parse_certificate(bad)
+        with pytest.raises((CertificateError, DiagramError)):
+            parse_certificate(bad)
 
     def test_replay_lists_every_stage(self):
         cert = parse_certificate(KISHINO_CONCORDANCE)
@@ -285,11 +291,53 @@ class TestTransports:
         assert _shift_components(parse_move("r3 a=1 b=2 c=3"), ref)["c"] == 3
         assert _shift_components(parse_move("death c=1"), ref)["c"] == 2
 
-    def test_invalid_input_refused(self):
-        text = KISHINO_CONCORDANCE.replace("death c=1", "birth")
-        cert = parse_certificate(text)
-        with pytest.raises(CertificateError):
-            transport_closure_to_long(cert, parse_gauss("L:" + KISHINO))
+    @pytest.mark.parametrize(
+        "refused,reason",
+        [
+            pytest.param(
+                lambda: transport_closure_to_long(
+                    parse_certificate(KISHINO_CONCORDANCE.replace("death c=1", "birth")),
+                    parse_gauss("L:" + KISHINO),
+                ),
+                "input certificate invalid",
+                id="round-cert-invalid",
+            ),
+            pytest.param(
+                lambda: transport_long_to_closure(
+                    parse_certificate(EVERY_KIND_LONG.replace("birth\n", "", 1))
+                ),
+                "input certificate invalid",
+                id="long-cert-invalid",
+            ),
+            pytest.param(
+                lambda: transport_closure_to_long(
+                    parse_certificate(KISHINO_CONCORDANCE), parse_gauss("L:O1+U2+U1+O2+")
+                ),
+                "does not start at the closure",
+                id="other-start",
+            ),
+            pytest.param(
+                lambda: transport_closure_to_long(
+                    CobordismCertificate(parse_gauss(TREFOIL), (), parse_gauss(TREFOIL)),
+                    cut(parse_gauss(TREFOIL), 0, 0),
+                ),
+                "does not end at the unknot",
+                id="not-to-unknot",
+            ),
+            pytest.param(
+                lambda: _translate_steps(
+                    [parse_gauss("O1+U1+"), parse_gauss("O1+U2+U1+O2+")],
+                    (parse_move("r1- x=1"),),
+                    parse_gauss("U5+O5+"),
+                ),
+                "cannot transport step 1",
+                id="step-misses-key",
+            ),
+        ],
+    )
+    def test_invalid_input_refused(self, refused, reason):
+        with pytest.raises(CertificateError, match=reason):
+            refused()
 
     def test_long_input_required(self):
         cert = parse_certificate(KISHINO_CONCORDANCE)

@@ -19,6 +19,7 @@ from vknots import (
     render_gauss,
     render_move,
 )
+from vknots.certificates import advance_classes, initial_classes
 
 from .conftest import CORPUS, KISHINO, TREFOIL, random_diagram, random_walk
 from .oracles import index_polynomial_oracle, odd_writhe_oracle
@@ -80,11 +81,13 @@ class TestMoveText:
         [
             "r9 x=1", "r1-", "r1- x=a", "death", "r2- a=1", "saddle c1=0", "r1- kind=3",
             "r1- x=1 x=2", "r1+ c=0 pos=0 sign=+ sign=- order=OU",
+            "r1- x1", "r1+ c=0 pos=0 sign=x order=OU",
+            pytest.param(lambda: Move.of("r9"), id="Move.of(r9)"),
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(MoveError):
-            parse_move(bad)
+            bad() if callable(bad) else parse_move(bad)
 
 
 class TestApply:
@@ -98,6 +101,44 @@ class TestApply:
     def test_r1_delete_requires_adjacent_pair(self):
         with pytest.raises(MoveError):
             apply_move(parse_gauss(TREFOIL), parse_move("r1- x=1"))
+
+    @pytest.mark.parametrize(
+        "code,move,reason",
+        [
+            ("O1+U1+", "r1+ c=1 pos=0 sign=+ order=OU", "no component 1"),
+            ("O1+U1+", "r1+ c=0 pos=2 sign=+ order=OU", "no arc 2"),
+            ("O1+U1+", "r1+ c=0 pos=0 sign=+ order=XY", "bad r1_insert"),
+            ("O1+U1+", "r2+ c1=0 p=0 c2=0 q=0 sign=+ order=XY", "bad r2_insert"),
+            ("O1+U1+", "r2- a=1 b=1", "two distinct"),
+            # q lands between the two new over endpoints
+            ("O1+U1+", "r2+ c1=0 p=0 c2=0 q=1 sign=+ order=OU", "splits the over pair"),
+            ("L:O1+U1+", "r2+ c1=0 p=0 c2=0 q=1 sign=+ order=OU", "splits the over pair"),
+            ("O1+U1+", "r3 a=1 b=1 c=2", "three distinct"),
+            ("L:O1+U1+", "death c=0", "open strand"),
+            ("O1+U1+", None, "unknown move kinds"),  # enumerating kind r4
+        ],
+    )
+    def test_refused(self, code, move, reason):
+        d = parse_gauss(code)
+        with pytest.raises(MoveError, match=reason):
+            if move is None:
+                list(enumerate_moves(d, kinds={"r4"}))
+            else:
+                apply_move(d, parse_move(move))
+
+    def test_saddle_with_strand_second(self):
+        # Enumeration always names the strand first; certificate text may
+        # not, and both spellings must make the same merge.
+        d = parse_gauss("L:O1+U2+;U1+O2+")
+        results = []
+        for line in ("saddle c1=1 p=0 c2=0 q=1", "saddle c1=0 p=1 c2=1 q=0"):
+            m = parse_move(line)
+            merged, inv = apply_move_with_inverse(d, m)
+            labels, closed = advance_classes(initial_classes(d), m, d)
+            results.append((render_gauss(merged, relabel=False), render_move(inv), labels))
+            assert not closed
+        assert results[0] == results[1]
+        assert results[0] == ("L:O1+O2+U1+U2+", "saddle c1=0 p=1 c2=0 q=3", (0,))
 
     def test_r2_requires_opposite_signs(self):
         # O1+U2+...U1+O2+ has same signs; no r2- applies

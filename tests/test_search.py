@@ -202,6 +202,24 @@ class TestReduce:
         with pytest.raises(DiagramError):
             reduce_diagram(parse_gauss("L:"), SearchBudget.small())
 
+    def test_stops_at_max_nodes(self, monkeypatch):
+        # The reduction runs without the overfull stop, so only the node
+        # cap ends it early; uncapped it runs on past 17,000 states.  Each
+        # popped state is parsed from its key once.
+        popped = 0
+        parse = vknots.search.parse_gauss
+
+        def counted(text):
+            nonlocal popped
+            popped += 1
+            assert popped <= 5, "popped a state past max_nodes"
+            return parse(text)
+
+        monkeypatch.setattr(vknots.search, "parse_gauss", counted)
+        budget = SearchBudget(max_crossings=8, max_components=1, max_nodes=5, max_depth=12)
+        reduce_diagram(parse_gauss(KISHINO), budget)
+        assert popped == 5
+
     @pytest.mark.parametrize("code", ["()", "();()"])
     def test_rank_zero_input_returns_at_once(self, code, monkeypatch):
         # Nothing ranks below (0 crossings, genus 0), so no move is
