@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 from .canonical import Iso, canonical_key, canonicalize, map_arc, unmap_arc
 from .diagram import (
-    GaussDiagram, arc_of_slot, closure, parse_gauss, render_gauss, slot_of_arc,
+    DiagramError, GaussDiagram, arc_of_slot, closure, parse_gauss, render_gauss,
+    slot_of_arc,
 )
 from .moves import Move, MoveError, apply_move, parse_move, relabel_move, render_move
 from .moves import enumerate_moves  # noqa: F401  (bench/tracer.py wraps it)
@@ -92,25 +93,25 @@ def parse_certificate(text: str) -> CobordismCertificate:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("start:"):
-            if start is not None:
-                raise CertificateError(f"line {lineno}: duplicate start line")
-            start = parse_gauss(line[len("start:") :].strip())
-        elif line.startswith("end:"):
-            if start is None:
-                raise CertificateError(f"line {lineno}: end line before start line")
-            if end is not None:
-                raise CertificateError(f"line {lineno}: duplicate end line")
-            end = parse_gauss(line[len("end:") :].strip())
-        else:
-            if start is None:
-                raise CertificateError(f"line {lineno}: move before start line")
-            if end is not None:
-                raise CertificateError(f"line {lineno}: move after end line")
-            try:
+        try:
+            if line.startswith("start:"):
+                if start is not None:
+                    raise CertificateError("duplicate start line")
+                start = parse_gauss(line[len("start:") :].strip())
+            elif line.startswith("end:"):
+                if start is None:
+                    raise CertificateError("end line before start line")
+                if end is not None:
+                    raise CertificateError("duplicate end line")
+                end = parse_gauss(line[len("end:") :].strip())
+            else:
+                if start is None:
+                    raise CertificateError("move before start line")
+                if end is not None:
+                    raise CertificateError("move after end line")
                 steps.append(parse_move(line))
-            except MoveError as err:
-                raise CertificateError(f"line {lineno}: {err}") from None
+        except (CertificateError, DiagramError, MoveError) as err:
+            raise CertificateError(f"line {lineno}: {err}") from None
     if start is None or end is None:
         raise CertificateError("certificate needs both start and end lines")
     return CobordismCertificate(start, tuple(steps), end)

@@ -133,8 +133,8 @@ def _check_endpoints(components, sign_map: dict) -> None:
     among `components`, and no other crossing has any.
 
     Hot path (every diagram and every search child is checked): tally
-    each id as over=1 / under=4, so a well-formed crossing totals exactly
-    5; the slow diagnosis below runs only on failure.
+    each id as over=1 / under=4 and want 5 per id, with 2 endpoints per id
+    (five overs total 5 too); the slow diagnosis runs only on failure.
     """
     seen: dict[int, int] = {}
     get = seen.get
@@ -146,7 +146,7 @@ def _check_endpoints(components, sign_map: dict) -> None:
                 seen[cid] = get(cid, 0) + 4
             else:
                 raise DiagramError(f"bad role {role!r} for crossing {cid}")
-    if len(seen) != len(sign_map):
+    if len(seen) != len(sign_map) or sum(map(len, components)) != 2 * len(seen):
         _diagnose(components, sign_map)
     for cid, v in seen.items():
         if v != 5 or cid not in sign_map:
@@ -194,12 +194,12 @@ def parse_gauss(text: str) -> GaussDiagram:
         stripped = stripped[2:]
     components: list[tuple[Endpoint, ...]] = []
     signs: dict[int, int] = {}
-    if stripped:
-        for part in stripped.split(";"):
-            components.append(_parse_component(part, signs))
-    if long and not components:
-        components = [()]
     try:
+        if stripped:
+            for part in stripped.split(";"):
+                components.append(_parse_component(part, signs))
+        if long and not components:
+            components = [()]
         return GaussDiagram(tuple(components), tuple(sorted(signs.items())), long)
     except DiagramError as err:
         raise DiagramError(f"invalid Gauss code {text!r}: {err}") from None

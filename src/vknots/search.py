@@ -27,32 +27,33 @@ the state is popped for expansion (roots too; most admitted states
 never are) or lies on a found chain.  The one child diagram built is a
 reduction candidate no larger than the best seen, for its Carter genus.
 
-A parent pointer (parent seq, move index, key) names the move that made
-its state by the move's index in the parent's enumeration, not by a
-`Move`: enumeration is deterministic, so a found chain is rebuilt by
-enumerating again the few diagrams on it, then translated onto the
-input.  Small tuples (cobordism counters, dedup vectors, surface
-partitions) take only a handful of distinct values, and each search
-shares one tuple per value among its states.
+The engine keeps the parent pointers: a record (parent seq, move index,
+key) names the move that made its state by its index in the parent's
+enumeration, not by a `Move`, so a found chain is rebuilt by enumerating
+again the few diagrams on it, then translated onto the input.  Small
+tuples (cobordism counters, dedup vectors, surface partitions) take
+only a handful of distinct values, and each search shares one tuple per
+value among its states.
 
 States are deduplicated on (canonical key, spent cobordism counters,
 depth) with dominance: a state is skipped when an already-visited state
 has the same key and componentwise smaller-or-equal counters and depth,
 since any completion of the new state also completes the old one.
 
-The sliceness search additionally tracks which diagram components lie
-on a common cobordism-surface piece.  A death that would cap off an
-isolated piece is never expanded (a valid concordance contains no such
-closure), and while the piece partition is nontrivial it joins the
-dedup identity, since two states with the same diagram but different
-partitions admit different completions.
+A cobordism search also labels the surface piece of each component and
+carries the labels across a move before applying it: a move that caps
+off an isolated piece (no valid concordance has one) or leaves more
+components than the cap is pruned unbuilt.  A nontrivial piece partition
+joins the dedup identity, since two states with the same diagram but
+different partitions admit different completions.
 
 Expansion is deterministic best-first on crossing count plus component
 count, biased toward simplification (deletion moves are enumerated
 first).  All three searches run through the one loop of `_BestFirst`,
-which owns popping and parsing, the node and depth caps, expansion, the
-keying of children and the rebuilding of a found chain, and leaves each
-search the rest of its frontier payload, admission and goal test.
+which owns popping and parsing, the caps, expansion and pruning, the
+keying, surface labels and cobordism counters of children, the parent
+pointers and the rebuilding of a found chain, and leaves each search
+its admission and goal test.
 """
 
 from __future__ import annotations
@@ -165,15 +166,6 @@ def _spend(spent: tuple[int, int, int], kind: str) -> tuple[int, int, int]:
     return spent if cost is None else tuple(x + y for x, y in zip(spent, cost))
 
 
-def _chain(parents: dict, sq: int) -> list[tuple]:
-    """The parent records (parent seq, move index, ...) from a root to `sq`."""
-    out = []
-    while sq in parents:
-        out.append(parents[sq])
-        sq = parents[sq][0]
-    return out[::-1]
-
-
 class _BestFirst:
     """The best-first loop that all three searches run through.
 
@@ -181,9 +173,11 @@ class _BestFirst:
     (priority, seq, depth, key, *payload) popped in (priority, seq)
     order; the state's canonical key opens the payload and the rest is
     the search's own.  `states` pops one state from each nonempty
-    frontier in turn and parses its key, `children` expands a popped
-    state and keys its children, and `line` rebuilds a found chain, so a
-    search supplies only its payload, the admission of children and its
+    frontier in turn and parses its key; `children` prunes a popped
+    state's moves before applying them and hands on each finished
+    child: its key, size, cobordism counters and surface labels; `push`
+    keeps a child's parent pointer, which `chain` follows and `line`
+    rebuilds.  A search supplies only the admission of children and its
     goal test.  The caps on crossings and components are the budget's,
     raised to fit the roots.
     """
@@ -198,6 +192,7 @@ class _BestFirst:
         self.cap_c = max(budget.max_components, *(r.n_components for r in roots))
         self.cobordism = cobordism
         self.frontiers: list[list[tuple]] = [[] for _ in roots]
+        self.parents: dict[int, tuple[int, int, str]] = {}  # seq -> record
         self.seq = 0
         self.nodes = 0
         self.status = "exhausted"
@@ -208,13 +203,27 @@ class _BestFirst:
         status = self.status if cert is None else "found"
         return SearchOutcome(status, cert, self.nodes, dedup, ms)
 
-    def push(self, side: int, size: int, depth: int, *payload) -> int:
-        """Admit a state of `size` crossings plus components to frontier
-        `side`; return its seq."""
+    def push(
+        self, side: int, size: int, depth: int, key: str, *payload, parent=None
+    ) -> int:
+        """Admit the state keyed `key`, of `size` crossings plus
+        components, to frontier `side`; return its seq.  A `parent`
+        (parent seq, move index) is kept as the record (parent, index,
+        key) that `chain` follows."""
         seq = self.seq
         self.seq += 1
-        heapq.heappush(self.frontiers[side], (size, seq, depth, *payload))
+        heapq.heappush(self.frontiers[side], (size, seq, depth, key, *payload))
+        if parent is not None:
+            self.parents[seq] = (*parent, key)
         return seq
+
+    def chain(self, seq: int) -> list[tuple[int, int, str]]:
+        """The parent records (parent, index, key) from a root to `seq`."""
+        out = []
+        while seq in self.parents:
+            out.append(self.parents[seq])
+            seq = out[-1][0]
+        return out[::-1]
 
     def states(self, stop_when_overfull: bool = True):
         """Yield (side, entry, diagram) for each popped state below the
@@ -252,18 +261,18 @@ class _BestFirst:
     ) -> set[str]:
         """The move kinds expanded from `diag` at cobordism counters
         `spent`: insertions while they fit the crossing cap, and in a
-        cobordism search each cobordism move while the budget allows it."""
-        cap_n, cap_c = self.cap_n, self.cap_c
+        cobordism search each cobordism move while the budget allows it;
+        `children` applies the component cap."""
         kinds = {"r1_delete", "r2_delete", "r3"}
-        if diag.n_crossings + 1 <= cap_n:
+        if diag.n_crossings + 1 <= self.cap_n:
             kinds.add("r1_insert")
-        if diag.n_crossings + 2 <= cap_n:
+        if diag.n_crossings + 2 <= self.cap_n:
             kinds.add("r2_insert")
         if self.cobordism:
             s, b, dd = spent
             if s < self.budget.max_saddles:
                 kinds.add("saddle")
-            if b < self.budget.max_births and diag.n_components + 1 <= cap_c:
+            if b < self.budget.max_births:
                 kinds.add("birth")
             if dd < self.budget.max_deaths:
                 kinds.add("death")
@@ -291,30 +300,35 @@ class _BestFirst:
         self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0),
         classes: tuple[int, ...] = (),
     ):
-        """Yield (index, move, key, order, comps, signs, classes) for each
-        move allowed from `diag` at cobordism counters `spent` whose
-        result stays within the caps, in enumeration order; index is the
-        move's position in the enumeration of `kinds(diag, spent)`.
+        """Yield (index, key, size, spent, classes, comps, signs) for each
+        child of `diag` at cobordism counters `spent`, in enumeration
+        order: index is the move's position in the enumeration of
+        `kinds(diag, spent)`, size is crossings plus components.
 
         A child is the endpoint lists `comps` and sign table `signs` the
         applier core edits, never a `GaussDiagram`: its endpoints are
-        checked and it is keyed once, with the winning component order,
-        from those lists.  In a cobordism search `classes` labels the
-        surface piece of each component of `diag` and is carried across
-        the move; a move that closes off a piece is dropped."""
-        cap_n, cap_c = self.cap_n, self.cap_c
+        checked and it is keyed once from those lists.  In a cobordism
+        search `classes` labels the surface piece of each component of
+        `diag`; the labels are carried across a move before it is
+        applied, and a move that closes off a piece or whose labels (one
+        per component) outnumber the component cap is dropped unbuilt.
+        A child's labels are in canonical component order, renumbered by
+        first appearance, so they are isomorphism-invariant.  R-moves
+        keep the component count, which the cap already fits."""
         for i, m in enumerate(enumerate_moves(diag, kinds=self.kinds(diag, spent))):
+            labels = classes
+            if self.cobordism:
+                labels, closed = advance_classes(classes, m, diag)
+                if closed or len(labels) > self.cap_c:
+                    continue
             comps, signs, _ = _apply_core(diag, m)
             _check_endpoints(comps, signs)
-            if len(signs) > cap_n or len(comps) > cap_c:
-                continue
-            child_classes = classes
-            if self.cobordism:
-                child_classes, closed = advance_classes(classes, m, diag)
-                if closed:
-                    continue  # would disconnect the cobordism surface
             key, order = _key_and_order(comps, signs, diag.long)
-            yield i, m, key, order, comps, signs, child_classes
+            if self.cobordism:
+                first: dict[int, int] = {}
+                labels = tuple(first.setdefault(labels[k], len(first)) for k in order)
+            size = len(signs) + len(comps)
+            yield i, key, size, _spend(spent, m.kind), labels, comps, signs
 
 
 # -- sliceness -----------------------------------------------------------
@@ -339,37 +353,26 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
     if root_key == goal_key:
         return run.outcome(CobordismCertificate(d, (), parse_gauss("()")), 0)
 
-    parents: dict[int, tuple[int, int, str]] = {}  # seq -> (parent, index, key)
     dedup = _Dedup(budget)
     dedup.admit(root_key, (0, 0, 0), 0)
     # payload: (key, (s, b, d), classes)
     run.push(0, d.n_crossings + d.n_components, 0, root_key, (0, 0, 0), (0,))
     for _, (_, sq, depth, _, spent, classes), diag in run.states():
-        for index, m, child_key, order, comps, signs, raw_classes in run.children(
+        for index, key, size, child_spent, child_classes, _, _ in run.children(
             diag, spent, classes
         ):
-            child_spent = _spend(spent, m.kind)
             s, b, dd = child_spent
-            if child_key == goal_key and s == b + dd:
-                chain = _chain(parents, sq) + [(sq, index, child_key)]
-                refs, steps = run.line(root_key, chain)
+            if key == goal_key and s == b + dd:
+                refs, steps = run.line(root_key, run.chain(sq) + [(sq, index, key)])
                 translated = _translate_steps(refs, tuple(steps), d)
                 cert = CobordismCertificate(d, tuple(translated), refs[-1])
                 return run.outcome(cert, dedup.hits)
-            # the partition in canonical component order, relabeled by
-            # first appearance so it is isomorphism-invariant
-            relabel: dict[int, int] = {}
-            child_classes = tuple(
-                relabel.setdefault(raw_classes[i], len(relabel)) for i in order
-            )
             tag = _partition_tag(child_classes)
-            if not dedup.admit(child_key + tag, child_spent, depth + 1):
-                continue
-            seq = run.push(
-                0, len(signs) + len(comps), depth + 1, child_key,
-                dedup.share(child_spent), dedup.share(child_classes),
-            )
-            parents[seq] = (sq, index, child_key)
+            if dedup.admit(key + tag, child_spent, depth + 1):
+                run.push(
+                    0, size, depth + 1, key, dedup.share(child_spent),
+                    dedup.share(child_classes), parent=(sq, index),
+                )
     return run.outcome(None, dedup.hits)
 
 
@@ -398,29 +401,25 @@ def search_equivalent(
     if key_a == key_b:
         return run.outcome(CobordismCertificate(a, (), b), 0)
 
-    # visited[side]: key -> seq of the state on that side, whose chain is
-    # read back through `parents`
+    # visited[side]: key -> seq of the state on that side, for `run.chain`
     visited = (
         {key_a: run.push(0, a.n_crossings + a.n_components, 0, key_a)},
         {key_b: run.push(1, b.n_crossings + b.n_components, 0, key_b)},
     )
-    parents: dict[int, tuple[int, int, str]] = {}  # seq -> (parent, index, key)
     hits = 0
     for side, (_, sq, depth, _), diag in run.states():
-        for index, _, key, _, comps, signs, _ in run.children(diag):
+        for index, key, size, *_ in run.children(diag):
             if key in visited[side]:
                 hits += 1
                 continue
             if key in visited[1 - side]:
-                here = _chain(parents, sq) + [(sq, index, key)]
-                there = _chain(parents, visited[1 - side][key])
+                here = run.chain(sq) + [(sq, index, key)]
+                there = run.chain(visited[1 - side][key])
                 chain_a, chain_b = (here, there) if side == 0 else (there, here)
                 cert = _splice(a, run.line(key_a, chain_a), run.line(key_b, chain_b), b)
                 return run.outcome(cert, hits)
-            seq = visited[side][key] = run.push(
-                side, len(signs) + len(comps), depth + 1, key
-            )
-            parents[seq] = (sq, index, key)
+            seq = run.push(side, size, depth + 1, key, parent=(sq, index))
+            visited[side][key] = seq
     return run.outcome(None, hits)
 
 
@@ -471,7 +470,7 @@ def reduce_diagram(
     run.push(0, d.n_crossings + d.n_components, 0, root_key)
     # No early stop: the best diagram seen improves until the last node.
     for _, (_, _, depth, _), diag in run.states(stop_when_overfull=False):
-        for _, _, key, _, comps, signs, _ in run.children(diag):
+        for _, key, size, _, _, comps, signs in run.children(diag):
             if not dedup.admit(key, (0, 0, 0), depth + 1):
                 continue
             if len(signs) <= best_rank[0]:
@@ -483,5 +482,5 @@ def reduce_diagram(
                     best, best_rank = child, rank
                     if best_rank == (0, 0):  # nothing smaller exists
                         return best, min_genus
-            run.push(0, len(signs) + len(comps), depth + 1, key)
+            run.push(0, size, depth + 1, key)
     return best, min_genus

@@ -127,6 +127,11 @@ class TestText:
         with pytest.raises((CertificateError, DiagramError)):
             parse_certificate(bad)
 
+    def test_bad_code_names_its_line(self):
+        # the blank line still counts
+        with pytest.raises(CertificateError, match=r"^line 3: invalid Gauss code"):
+            parse_certificate("start: ()\n\nend: O1+U1-\n")
+
     def test_replay_lists_every_stage(self):
         cert = parse_certificate(KISHINO_CONCORDANCE)
         stages = replay(cert)
@@ -180,6 +185,14 @@ class TestValidate:
         cert = parse_certificate(text)
         report = validate_certificate(cert, "concordance")
         assert not report.ok
+        for text, claim, failure in [
+            ("start: ();()\nend: ();()", "concordance",
+             "start is not a one-component knot"),
+            ("start: O1+U1+\nbirth\nend: O1+U1+;()", "slice-disk",
+             "end is not the empty diagram"),
+        ]:
+            report = validate_certificate(parse_certificate(text), claim)
+            assert failure in report.failure
 
     def test_disconnected_cobordism_rejected(self):
         # Caps the trefoil with a genus-1 piece and replaces it by a
@@ -332,6 +345,29 @@ class TestTransports:
                 ),
                 "cannot transport step 1",
                 id="step-misses-key",
+            ),
+            pytest.param(
+                lambda: _translate_steps(
+                    [parse_gauss("O1+U2+U1+O2+"), parse_gauss("()")],
+                    (parse_move("r1- x=1"),),
+                    parse_gauss("O1+U2+U1+O2+"),
+                ),
+                "cannot transport step 1",
+                id="step-does-not-apply",
+            ),
+            pytest.param(
+                lambda: transport_closure_to_long(
+                    parse_certificate(KISHINO_CONCORDANCE), parse_gauss(KISHINO)
+                ),
+                "needs a long diagram",
+                id="round-target",
+            ),
+            pytest.param(
+                lambda: validate_certificate(
+                    parse_certificate(KISHINO_CONCORDANCE), "bogus"
+                ),
+                "unknown claim 'bogus'",
+                id="unknown-claim",
             ),
         ],
     )

@@ -32,10 +32,15 @@ class TestBasics:
         assert r.returncode == 0
         assert r.stdout.strip() == "O1+U1+"
 
-    def test_parse_error_exit_3(self):
-        r = run("parse", "O1+")
+    @pytest.mark.parametrize(
+        "args", [("parse", "O1+"), ("info", "O1+O1+O1+O1+O1+")],
+        ids=["parse-dangling", "info-five-overs"],
+    )
+    def test_parse_error_exit_3(self, args):
+        r = run(*args)
         assert r.returncode == 3
         assert "error" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_usage_error_exit_3(self):
         r = run("no-such-command")

@@ -4,10 +4,12 @@ import pytest
 
 from vknots import (
     DiagramError,
+    GaussDiagram,
     closure,
     connected_sum,
     cut,
     canonical_key,
+    carter_report,
     inverse,
     mirror,
     parse_gauss,
@@ -57,10 +59,13 @@ class TestParseRender:
             "X1+U1+",               # bad role letter
             "O1U1",                 # missing signs
             "O1+U1+ O2+",           # dangling second crossing
+            "O1+O1+O1+O1+O1+",      # five overs tally like one over, one under
+            "O1+U1+O2+O2+O2+O2+O2+",
         ],
     )
     def test_rejects(self, bad):
-        with pytest.raises(DiagramError):
+        # grammar and invariant errors alike name the code they are in
+        with pytest.raises(DiagramError, match=r"^invalid Gauss code "):
             parse_gauss(bad)
 
     def test_stats(self):
@@ -142,6 +147,31 @@ class TestOperations:
             cut(parse_gauss("O1+U1+"), 0, 5)
         with pytest.raises(DiagramError):
             cut(parse_gauss("O1+U1+"), 1, 0)
+
+    @pytest.mark.parametrize(
+        "refused,reason",
+        [
+            (lambda: GaussDiagram((((1, 0), (1, 1)),), ((1, 2),), False),
+             "has sign 2"),
+            (lambda: GaussDiagram(
+                (((1, 0), (2, 0), (1, 1), (2, 1)),), ((2, 1), (1, 1)), False
+            ), "not sorted"),
+            (lambda: GaussDiagram((((1, 0), (1, 1)),), ((1, 1), (2, 1)), False),
+             "do not match sign table"),
+            (lambda: GaussDiagram((((1, 0), (1, 3)),), ((1, 1),), False),
+             "bad role 3"),
+            (lambda: GaussDiagram((), (), True), "must have an open strand"),
+            (lambda: mirror(parse_gauss("O1+U1+"), "flip"), "unknown mirror mode"),
+            (lambda: closure(parse_gauss("O1+U1+")), "requires a long"),
+            (lambda: cut(parse_gauss("L:O1+U1+"), 0, 0), "requires a round"),
+            (lambda: carter_report(parse_gauss("L:O1+U1+")), "needs a round"),
+        ],
+        ids=["sign", "unsorted", "missing-crossing", "role", "long-no-strand",
+             "mirror-mode", "closure-round", "cut-long", "carter-long"],
+    )
+    def test_refused(self, refused, reason):
+        with pytest.raises(DiagramError, match=reason):
+            refused()
 
 
 class TestArcModel:

@@ -25,6 +25,7 @@ from vknots import (
 
 from .conftest import KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_walk
 from .oracles import assert_ends_agree
+from .reference_search import reference_slice_states
 
 # A six-crossing diagram of the unknot that R-moves take to "()"
 SIX_CROSSING_UNKNOT = "O1+U1+O2-O3+O4+U5-U6+O5-O6+U2-U3+U4+"
@@ -251,6 +252,49 @@ class TestCaches:
 
 def _counters(out):
     return out.status, out.nodes, out.dedup
+
+
+class TestPruningAudit:
+    """Every state a plain reference search reaches is covered by a state
+    `search_slice` admitted: same key and partition, counters no larger.
+
+    The reference derives the caps and the closure rule on its own, so
+    this guards the search's dominance dedup, its partition tag and the
+    pruning of moves before they are applied.  Keying and enumeration
+    are shared, and only an "exhausted" run can be audited this way."""
+
+    @pytest.mark.parametrize(
+        "code,components,reached", [(TREFOIL, 3, 674), (VIRTUAL_TREFOIL, 4, 4180)],
+        ids=["trefoil", "virtual-trefoil"],
+    )
+    def test_admitted_states_cover_reference(
+        self, code, components, reached, monkeypatch
+    ):
+        budget = SearchBudget(
+            max_crossings=3, max_components=components, max_saddles=2,
+            max_births=2, max_deaths=2, max_nodes=10**7, max_depth=10**7,
+        )
+        admitted: dict[tuple, list] = {}
+        push = vknots.search._BestFirst.push
+
+        def spy(run, side, size, depth, key, spent, classes, **kw):
+            admitted.setdefault((key, classes), []).append(spent)
+            return push(run, side, size, depth, key, spent, classes, **kw)
+
+        monkeypatch.setattr(vknots.search._BestFirst, "push", spy)
+        d = parse_gauss(code)
+        out = search_slice(d, budget)
+        states, found = reference_slice_states(d, budget)
+        assert len(states) == reached
+        assert out.status == ("found" if found else "exhausted")
+        uncovered = [
+            (key, classes, spent) for key, classes, spent in states
+            if not any(
+                all(o <= n for o, n in zip(old, spent))
+                for old in admitted.get((key, classes), ())
+            )
+        ]
+        assert not uncovered, f"{len(uncovered)} uncovered, e.g. {uncovered[:3]}"
 
 
 class TestChildKeying:
