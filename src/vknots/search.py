@@ -54,6 +54,17 @@ which owns popping and parsing, the caps, expansion and pruning, the
 keying, surface labels and cobordism counters of children, the parent
 pointers and the rebuilding of a found chain, and leaves each search
 its admission and goal test.
+
+`reduce_diagram` expands a popped state one size class at a time
+(partial expansion): first the moves that do not grow it (r1 and r2
+deletions, r3), then the r1 insertions, then the r2 insertions.  After
+each class the state goes back into the frontier at the size of the
+next class's children, so insertions are applied and keyed only when
+the frontier reaches their size, and most never are.  Every pop,
+re-pops included, counts as a node, so max_nodes still bounds the work
+and the frontier.  `search_slice` and `search_equivalent` expand a state
+whole: the bench and the tests pin their (status, nodes, dedup)
+counters, which a different expansion order would change.
 """
 
 from __future__ import annotations
@@ -298,12 +309,14 @@ class _BestFirst:
 
     def children(
         self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0),
-        classes: tuple[int, ...] = (),
+        classes: tuple[int, ...] = (), only: frozenset[str] | None = None,
     ):
         """Yield (index, key, size, spent, classes, comps, signs) for each
         child of `diag` at cobordism counters `spent`, in enumeration
         order: index is the move's position in the enumeration of
-        `kinds(diag, spent)`, size is crossings plus components.
+        `kinds(diag, spent)`, size is crossings plus components.  With
+        `only`, the moves of the other kinds are not enumerated, and the
+        index counts in that shorter enumeration.
 
         A child is the endpoint lists `comps` and sign table `signs` the
         applier core edits, never a `GaussDiagram`: its endpoints are
@@ -314,10 +327,14 @@ class _BestFirst:
         per component) outnumber the component cap is dropped unbuilt.
         A child's labels are in canonical component order, renumbered by
         first appearance, so they are isomorphism-invariant.  R-moves
-        keep the component count, which the cap already fits."""
-        for i, m in enumerate(enumerate_moves(diag, kinds=self.kinds(diag, spent))):
+        keep the labels and the component count, which the cap already
+        fits, so only cobordism moves are labelled."""
+        kinds = self.kinds(diag, spent)
+        if only is not None:
+            kinds &= only
+        for i, m in enumerate(enumerate_moves(diag, kinds=kinds)):
             labels = classes
-            if self.cobordism:
+            if m.kind in _COST:
                 labels, closed = advance_classes(classes, m, diag)
                 if closed or len(labels) > self.cap_c:
                     continue
@@ -445,6 +462,14 @@ def _splice(
 
 # -- crossing reduction --------------------------------------------------
 
+# The move kinds a reduction expands from a state at one pop, in the
+# order of the size of their children, with that growth in crossings.
+_SIZE_CLASSES = (
+    (frozenset({"r1_delete", "r2_delete", "r3"}), 0),
+    (frozenset({"r1_insert"}), 1),
+    (frozenset({"r2_insert"}), 2),
+)
+
 
 def reduce_diagram(
     d: GaussDiagram, budget: SearchBudget
@@ -454,6 +479,13 @@ def reduce_diagram(
     Returns the best diagram visited and the minimum Carter genus over
     the visited diagrams at or below the best crossing count seen (an
     upper bound for virtual genus).
+
+    A popped state is expanded one size class of `_SIZE_CLASSES` at a
+    time and then re-queued at the size of the next class's children,
+    while the crossing cap lets that class fit; each re-pop counts as a
+    node of `max_nodes`.  A run that is not cut short still admits the
+    whole R-move closure under the caps; one that reaches the unknot
+    early never builds the insertions of most states it popped.
     """
     if d.long:
         raise DiagramError("reduce_diagram needs a round diagram")
@@ -467,10 +499,12 @@ def reduce_diagram(
     dedup = _Dedup(budget)
     dedup.admit(root_key, (0, 0, 0), 0)
     run = _BestFirst(budget, (d,))
-    run.push(0, d.n_crossings + d.n_components, 0, root_key)
+    # payload: the index into _SIZE_CLASSES of the class this pop expands
+    run.push(0, d.n_crossings + d.n_components, 0, root_key, 0)
     # No early stop: the best diagram seen improves until the last node.
-    for _, (_, _, depth, _), diag in run.states(stop_when_overfull=False):
-        for _, key, size, _, _, comps, signs in run.children(diag):
+    for _, (_, _, depth, state, cls), diag in run.states(stop_when_overfull=False):
+        only = _SIZE_CLASSES[cls][0]
+        for _, key, size, _, _, comps, signs in run.children(diag, only=only):
             if not dedup.admit(key, (0, 0, 0), depth + 1):
                 continue
             if len(signs) <= best_rank[0]:
@@ -482,5 +516,11 @@ def reduce_diagram(
                     best, best_rank = child, rank
                     if best_rank == (0, 0):  # nothing smaller exists
                         return best, min_genus
-            run.push(0, size, depth + 1, key)
+            run.push(0, size, depth + 1, key, 0)
+        # The next class waits in the frontier at the size of its children.
+        if cls + 1 < len(_SIZE_CLASSES):
+            kinds, growth = _SIZE_CLASSES[cls + 1]
+            if kinds <= run.kinds(diag):
+                size = diag.n_crossings + diag.n_components + growth
+                run.push(0, size, depth, state, cls + 1)
     return best, min_genus

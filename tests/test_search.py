@@ -297,6 +297,50 @@ class TestPruningAudit:
         assert not uncovered, f"{len(uncovered)} uncovered, e.g. {uncovered[:3]}"
 
 
+class TestReduceAudit:
+    """An exhausting `reduce_diagram` finds the least (crossings, Carter
+    genus) of the whole R-move closure under the crossing cap.
+
+    The closure is walked by the plain reference search with every
+    cobordism cap at 0, so this guards the reduction's key-only dedup
+    and its expansion one size class at a time: a run that does not
+    stop at the unknot admits every state of the closure.  Keying and
+    move enumeration are shared with the search, so a fault in those is
+    not caught here."""
+
+    @pytest.mark.parametrize(
+        "code,cap,reached",
+        [("O1+U1+O2-U2-", 4, 1531), (TREFOIL, 5, 216), (VIRTUAL_TREFOIL, 4, 357),
+         (KISHINO, 6, 998)],
+        ids=["kinked-unknot", "trefoil", "virtual-trefoil", "kishino"],
+    )
+    def test_best_rank_is_reference_minimum(self, code, cap, reached, monkeypatch):
+        admitted = set()
+        push = vknots.search._BestFirst.push
+
+        def spy(run, side, size, depth, key, *payload, **kw):
+            admitted.add(key)
+            return push(run, side, size, depth, key, *payload, **kw)
+
+        monkeypatch.setattr(vknots.search._BestFirst, "push", spy)
+        d = parse_gauss(code)
+        budget = SearchBudget(
+            max_crossings=cap, max_components=d.n_components,
+            max_nodes=10**7, max_depth=10**7,
+        )
+        states, _ = reference_slice_states(d, budget)
+        assert len(states) == reached
+        ranks = [
+            (diag.n_crossings, carter_genus(diag))
+            for diag in (parse_gauss(key) for key, _, _ in states)
+        ]
+        best, genus = reduce_diagram(d, budget)
+        assert (best.n_crossings, carter_genus(best)) == min(ranks)
+        assert min(g for _, g in ranks) <= genus <= carter_genus(best)
+        if min(ranks) != (0, 0):  # no early stop
+            assert admitted == {key for key, _, _ in states}
+
+
 class TestChildKeying:
     @pytest.mark.parametrize(
         "search,expected,bound",
@@ -331,6 +375,30 @@ class TestChildKeying:
         monkeypatch.setattr(GaussDiagram, "__post_init__", counted)
         assert search() == expected
         assert built <= bound
+
+    @pytest.mark.parametrize(
+        "code,budget,bound",
+        [(SIX_CROSSING_UNKNOT, UNKNOT_BUDGET, 16),  # 424 when expanded whole
+         ("O1+U1+O2-U2-", SearchBudget.small(), 6)],  # 99 when expanded whole
+        ids=["six-crossing", "kinked"],
+    )
+    def test_reduce_keys_insertions_only_when_reached(
+        self, code, budget, bound, monkeypatch
+    ):
+        # A reduction expands a popped state one size class at a time,
+        # so the insertions of a state are keyed only if the frontier
+        # reaches their size before the unknot is found.
+        keyed = 0
+        key_and_order = vknots.search._key_and_order
+
+        def counted(*args):
+            nonlocal keyed
+            keyed += 1
+            return key_and_order(*args)
+
+        monkeypatch.setattr(vknots.search, "_key_and_order", counted)
+        assert reduce_diagram(parse_gauss(code), budget) == (parse_gauss("()"), 0)
+        assert keyed <= bound
 
     def test_child_endpoints_are_checked(self, monkeypatch):
         kink = vknots.moves._HANDLERS["r1_insert"]
