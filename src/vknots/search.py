@@ -60,9 +60,12 @@ its admission and goal test.
 deletions, r3), then the r1 insertions, then the r2 insertions.  After
 each class the state goes back into the frontier at the size of the
 next class's children, so insertions are applied and keyed only when
-the frontier reaches their size, and most never are.  Every pop,
-re-pops included, counts as a node, so max_nodes still bounds the work
-and the frontier.  `search_slice` and `search_equivalent` expand a state
+the frontier reaches their size.  That saves most of the keying in a
+run that stops early at rank (0, 0), as an unknot's does; a knot's run
+ends only when its caps are exhausted, keying the same children as
+whole expansion, or when max_nodes is spent.  Every pop, re-pops
+included, counts as a node, so max_nodes still bounds the work and the
+frontier.  `search_slice` and `search_equivalent` expand a state
 whole: the bench and the tests pin their (status, nodes, dedup)
 counters, which a different expansion order would change.
 """
@@ -175,6 +178,16 @@ def _spend(spent: tuple[int, int, int], kind: str) -> tuple[int, int, int]:
     after an R-move."""
     cost = _COST.get(kind)
     return spent if cost is None else tuple(x + y for x, y in zip(spent, cost))
+
+
+# The size classes of R-moves, each with the growth in crossings of its
+# children, in the order `enumerate_moves` lists them.  A reduction
+# expands a popped state one class at a time.
+_SIZE_CLASSES = (
+    (frozenset({"r1_delete", "r2_delete", "r3"}), 0),
+    (frozenset({"r1_insert"}), 1),
+    (frozenset({"r2_insert"}), 2),
+)
 
 
 class _BestFirst:
@@ -309,14 +322,16 @@ class _BestFirst:
 
     def children(
         self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0),
-        classes: tuple[int, ...] = (), only: frozenset[str] | None = None,
+        classes: tuple[int, ...] = (), size_class: int | None = None,
     ):
         """Yield (index, key, size, spent, classes, comps, signs) for each
         child of `diag` at cobordism counters `spent`, in enumeration
         order: index is the move's position in the enumeration of
         `kinds(diag, spent)`, size is crossings plus components.  With
-        `only`, the moves of the other kinds are not enumerated, and the
-        index counts in that shorter enumeration.
+        `size_class`, only the moves of that class of `_SIZE_CLASSES`
+        are applied and the enumeration stops after them; the classes
+        are listed in that order, so the index still counts in the whole
+        enumeration, the one `line` replays.
 
         A child is the endpoint lists `comps` and sign table `signs` the
         applier core edits, never a `GaussDiagram`: its endpoints are
@@ -329,10 +344,13 @@ class _BestFirst:
         first appearance, so they are isomorphism-invariant.  R-moves
         keep the labels and the component count, which the cap already
         fits, so only cobordism moves are labelled."""
-        kinds = self.kinds(diag, spent)
-        if only is not None:
-            kinds &= only
+        kinds, only = self.kinds(diag, spent), None
+        if size_class is not None:
+            only = _SIZE_CLASSES[size_class][0]
+            kinds &= frozenset().union(*(k for k, _ in _SIZE_CLASSES[: size_class + 1]))
         for i, m in enumerate(enumerate_moves(diag, kinds=kinds)):
+            if only is not None and m.kind not in only:
+                continue
             labels = classes
             if m.kind in _COST:
                 labels, closed = advance_classes(classes, m, diag)
@@ -462,14 +480,6 @@ def _splice(
 
 # -- crossing reduction --------------------------------------------------
 
-# The move kinds a reduction expands from a state at one pop, in the
-# order of the size of their children, with that growth in crossings.
-_SIZE_CLASSES = (
-    (frozenset({"r1_delete", "r2_delete", "r3"}), 0),
-    (frozenset({"r1_insert"}), 1),
-    (frozenset({"r2_insert"}), 2),
-)
-
 
 def reduce_diagram(
     d: GaussDiagram, budget: SearchBudget
@@ -484,8 +494,9 @@ def reduce_diagram(
     time and then re-queued at the size of the next class's children,
     while the crossing cap lets that class fit; each re-pop counts as a
     node of `max_nodes`.  A run that is not cut short still admits the
-    whole R-move closure under the caps; one that reaches the unknot
-    early never builds the insertions of most states it popped.
+    whole R-move closure under the caps, keying the same children as
+    whole expansion; one that stops early at rank (0, 0) never builds
+    the insertions of most states it popped.
     """
     if d.long:
         raise DiagramError("reduce_diagram needs a round diagram")
@@ -503,8 +514,7 @@ def reduce_diagram(
     run.push(0, d.n_crossings + d.n_components, 0, root_key, 0)
     # No early stop: the best diagram seen improves until the last node.
     for _, (_, _, depth, state, cls), diag in run.states(stop_when_overfull=False):
-        only = _SIZE_CLASSES[cls][0]
-        for _, key, size, _, _, comps, signs in run.children(diag, only=only):
+        for _, key, size, _, _, comps, signs in run.children(diag, size_class=cls):
             if not dedup.admit(key, (0, 0, 0), depth + 1):
                 continue
             if len(signs) <= best_rank[0]:

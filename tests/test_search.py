@@ -221,6 +221,26 @@ class TestReduce:
         reduce_diagram(parse_gauss(KISHINO), budget)
         assert popped == 5
 
+    @pytest.mark.parametrize(
+        "code,ranks",
+        [("U1+U2+O3+O1+U4+O4+U5+U3+O2+U6-O6-O5+U7+O7+",
+          [(6, 0), (5, 0), (4, 0), (4, 0), (3, 0), (3, 0)]),
+         ("O1+O2+U3-U2+U4+O3-U1+O5-U6+O6+U5-U7+O7+O4+",
+          [(6, 1), (5, 1), (4, 1), (4, 1), (2, 1), (2, 1)])],
+        ids=["trefoil", "virtual-trefoil"],
+    )
+    def test_node_limited_knot_reduction(self, code, ranks):
+        # Seven-crossing diagrams of the trefoil and the virtual trefoil,
+        # dressed by a random walk of R-moves.  A knot never reaches the
+        # unknot, so max_nodes alone ends its reduction, and the re-pops
+        # of the expansion by size class count as nodes.  Best rank and
+        # genus bound at max_nodes = 1..6, the same as when each state
+        # was expanded whole.
+        d = parse_gauss(code)
+        for n, rank in enumerate(ranks, start=1):
+            best, genus = reduce_diagram(d, SearchBudget(max_nodes=n))
+            assert (best.n_crossings, carter_genus(best), genus) == (*rank, rank[1])
+
     @pytest.mark.parametrize("code", ["()", "();()"])
     def test_rank_zero_input_returns_at_once(self, code, monkeypatch):
         # Nothing ranks below (0 crossings, genus 0), so no move is
@@ -399,6 +419,24 @@ class TestChildKeying:
         monkeypatch.setattr(vknots.search, "_key_and_order", counted)
         assert reduce_diagram(parse_gauss(code), budget) == (parse_gauss("()"), 0)
         assert keyed <= bound
+
+    @pytest.mark.parametrize(
+        "code", [TREFOIL, VIRTUAL_TREFOIL, "O1+U1+O2-U2-"],
+        ids=["trefoil", "virtual-trefoil", "kinked-unknot"],
+    )
+    def test_size_classes_keep_the_enumeration_index(self, code):
+        # Expanded one size class at a time, a state yields the same
+        # children under the same indices as expanded whole, so `line`
+        # replays the whole enumeration for either.
+        d = parse_gauss(code)
+        run = vknots.search._BestFirst(SearchBudget(), (d,))
+        whole = [(i, key) for i, key, *_ in run.children(d)]
+        by_class = sorted(
+            (i, key)
+            for cls in range(len(vknots.search._SIZE_CLASSES))
+            for i, key, *_ in run.children(d, size_class=cls)
+        )
+        assert by_class == whole
 
     def test_child_endpoints_are_checked(self, monkeypatch):
         kink = vknots.moves._HANDLERS["r1_insert"]
