@@ -35,10 +35,13 @@ tuples (cobordism counters, dedup vectors, surface partitions) take
 only a handful of distinct values, and each search shares one tuple per
 value among its states.
 
-States are deduplicated on (canonical key, spent cobordism counters,
-depth) with dominance: a state is skipped when an already-visited state
-has the same key and componentwise smaller-or-equal counters and depth,
-since any completion of the new state also completes the old one.
+All three searches deduplicate states by one rule, per frontier, on
+(canonical key, spent cobordism counters, depth) with dominance: a state
+is skipped when an already-admitted state has the same key and
+componentwise smaller-or-equal counters and depth, since any completion
+of the new state also completes the old one.  A key first reached
+through a long path is admitted again when a shorter path reaches it,
+so an "exhausted" run has expanded every state inside the depth cap.
 
 A cobordism search also labels the surface piece of each component and
 carries the labels across a move before applying it: a move that caps
@@ -52,8 +55,8 @@ count, biased toward simplification (deletion moves are enumerated
 first).  All three searches run through the one loop of `_BestFirst`,
 which owns popping and parsing, the caps, expansion and pruning, the
 keying, surface labels and cobordism counters of children, the parent
-pointers and the rebuilding of a found chain, and leaves each search
-its admission and goal test.
+pointers, dedup and the rebuilding of a found chain, and leaves each
+search its dedup identity and goal test.
 
 `reduce_diagram` expands a popped state one size class at a time
 (partial expansion): first the moves that do not grow it (r1 and r2
@@ -132,37 +135,6 @@ class SearchOutcome:
 # -- the engine ----------------------------------------------------------
 
 
-class _Dedup:
-    """Key -> minimal (s, b, d, depth) vectors, with dominance.
-
-    A path of length L expands L distinct prefixes, so when max_depth >=
-    max_nodes the depth cap can never bind and depth is dropped from the
-    vector, collapsing depth variants.  `share` keeps one tuple per
-    distinct value for the whole search, for the vectors and for any
-    other small tuple its states repeat."""
-
-    def __init__(self, budget: SearchBudget):
-        self.track_depth = budget.max_depth < budget.max_nodes
-        self.table: dict[str, tuple[tuple[int, int, int, int], ...]] = {}
-        self.tuples: dict[tuple, tuple] = {}
-        self.hits = 0
-
-    def share(self, t: tuple) -> tuple:
-        """The one tuple equal to `t` that this search keeps."""
-        return self.tuples.setdefault(t, t)
-
-    def admit(self, key: str, spent: tuple[int, int, int], depth: int) -> bool:
-        vec = (*spent, depth if self.track_depth else 0)
-        entries = self.table.get(key, ())
-        for old in entries:
-            if all(o <= n for o, n in zip(old, vec)):
-                self.hits += 1
-                return False
-        kept = [e for e in entries if not all(n <= o for o, n in zip(e, vec))]
-        self.table[key] = (*kept, self.share(vec))
-        return True
-
-
 def _partition_tag(classes: tuple[int, ...]) -> str:
     """Dedup suffix for a nontrivial canonical partition."""
     if len(set(classes)) <= 1:
@@ -181,7 +153,8 @@ def _spend(spent: tuple[int, int, int], kind: str) -> tuple[int, int, int]:
 
 
 # The size classes of R-moves, each with the growth in crossings of its
-# children, in the order `enumerate_moves` lists them.  A reduction
+# children, in the order `enumerate_moves` lists them.  Every search
+# expands a class while its children fit the crossing cap; a reduction
 # expands a popped state one class at a time.
 _SIZE_CLASSES = (
     (frozenset({"r1_delete", "r2_delete", "r3"}), 0),
@@ -196,19 +169,26 @@ class _BestFirst:
     There is one frontier per root diagram, a heap of entries
     (priority, seq, depth, key, *payload) popped in (priority, seq)
     order; the state's canonical key opens the payload and the rest is
-    the search's own.  `states` pops one state from each nonempty
-    frontier in turn and parses its key; `children` prunes a popped
-    state's moves before applying them and hands on each finished
-    child: its key, size, cobordism counters and surface labels; `push`
-    keeps a child's parent pointer, which `chain` follows and `line`
-    rebuilds.  A search supplies only the admission of children and its
-    goal test.  The caps on crossings and components are the budget's,
-    raised to fit the roots.
+    the search's own.  Root `side` is keyed, admitted and pushed at
+    depth 0 with the search's root `payload` as seq `side`.  `states`
+    pops one state from each nonempty frontier in turn and parses its
+    key; `children` prunes a popped state's moves before applying them
+    and hands on each finished child: its key, size, cobordism counters
+    and surface labels; `admit` deduplicates; `push` keeps a child's
+    parent pointer, which `chain` follows and `line` rebuilds.  A search
+    supplies only its dedup identity and its goal test.  The caps on
+    crossings and components are the budget's, raised to fit the roots.
+
+    Each frontier keeps identity -> minimal (s, b, d, depth) vectors.  A
+    path of length L expands L distinct prefixes, so when max_depth >=
+    max_nodes the depth cap can never bind and depth is dropped from the
+    vector.  `share` keeps one tuple per distinct value for the whole
+    search, for the vectors and any other small tuple its states repeat.
     """
 
     def __init__(
         self, budget: SearchBudget, roots: tuple[GaussDiagram, ...],
-        cobordism: bool = False,
+        cobordism: bool = False, payload: tuple = (),
     ):
         self.t0 = time.perf_counter()
         self.budget = budget
@@ -220,17 +200,46 @@ class _BestFirst:
         self.seq = 0
         self.nodes = 0
         self.status = "exhausted"
+        self.track_depth = budget.max_depth < budget.max_nodes
+        self.tables: list[dict[str, tuple]] = [{} for _ in roots]  # ident -> vectors
+        self.tuples: dict[tuple, tuple] = {}
+        self.hits = 0
+        self.root_keys = tuple(canonical_key(r) for r in roots)
+        for side, (root, key) in enumerate(zip(roots, self.root_keys)):
+            self.admit(side, key, (0, 0, 0), 0)
+            self.push(side, root.n_crossings + root.n_components, 0, key, *payload)
 
-    def outcome(self, cert: CobordismCertificate | None, dedup: int) -> SearchOutcome:
+    def outcome(self, cert: CobordismCertificate | None) -> SearchOutcome:
         """The run's outcome: "found" with `cert`, else the loop's status."""
         ms = int((time.perf_counter() - self.t0) * 1000)
         status = self.status if cert is None else "found"
-        return SearchOutcome(status, cert, self.nodes, dedup, ms)
+        return SearchOutcome(status, cert, self.nodes, self.hits, ms)
+
+    def share(self, t: tuple) -> tuple:
+        """The one tuple equal to `t` that this search keeps."""
+        return self.tuples.setdefault(t, t)
+
+    def admit(
+        self, side: int, ident: str, spent: tuple[int, int, int], depth: int
+    ) -> bool:
+        """Whether a state of dedup identity `ident` is new on frontier
+        `side`: no state admitted there has the same identity and counters
+        and depth no larger.  A skip counts as a dedup hit."""
+        vec = (*spent, depth if self.track_depth else 0)
+        table = self.tables[side]
+        entries = table.get(ident, ())
+        for old in entries:
+            if all(o <= n for o, n in zip(old, vec)):
+                self.hits += 1
+                return False
+        kept = [e for e in entries if not all(n <= o for o, n in zip(e, vec))]
+        table[ident] = (*kept, self.share(vec))
+        return True
 
     def push(
         self, side: int, size: int, depth: int, key: str, *payload, parent=None
     ) -> int:
-        """Admit the state keyed `key`, of `size` crossings plus
+        """Queue the state keyed `key`, of `size` crossings plus
         components, to frontier `side`; return its seq.  A `parent`
         (parent seq, move index) is kept as the record (parent, index,
         key) that `chain` follows."""
@@ -287,11 +296,10 @@ class _BestFirst:
         `spent`: insertions while they fit the crossing cap, and in a
         cobordism search each cobordism move while the budget allows it;
         `children` applies the component cap."""
-        kinds = {"r1_delete", "r2_delete", "r3"}
-        if diag.n_crossings + 1 <= self.cap_n:
-            kinds.add("r1_insert")
-        if diag.n_crossings + 2 <= self.cap_n:
-            kinds.add("r2_insert")
+        kinds = set().union(*(
+            cls for cls, growth in _SIZE_CLASSES
+            if diag.n_crossings + growth <= self.cap_n
+        ))
         if self.cobordism:
             s, b, dd = spent
             if s < self.budget.max_saddles:
@@ -303,14 +311,14 @@ class _BestFirst:
         return kinds
 
     def line(
-        self, root_key: str, chain: list[tuple[int, int, str]]
+        self, side: int, chain: list[tuple[int, int, str]]
     ) -> tuple[list[GaussDiagram], list[Move]]:
         """The reference line (refs, steps) of a chain of parent records
-        (parent, index, key) from the root keyed `root_key`: the
+        (parent, index, key) from the root of frontier `side`: the
         diagrams parsed from the keys, and the move `children` numbered
         each index from the diagram before it, read off its enumeration
         with the cobordism counters carried forward from (0, 0, 0)."""
-        refs = [parse_gauss(root_key)]
+        refs = [parse_gauss(self.root_keys[side])]
         steps: list[Move] = []
         spent = (0, 0, 0)
         for _, index, key in chain:
@@ -382,33 +390,29 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
         raise DiagramError("search_slice needs a round diagram")
     if d.n_components != 1:
         raise DiagramError("search_slice needs a one-component knot")
-    run = _BestFirst(budget, (d,), cobordism=True)
-    goal_key = canonical_key(parse_gauss("()"))
-    root_key = canonical_key(d)
-    if root_key == goal_key:
-        return run.outcome(CobordismCertificate(d, (), parse_gauss("()")), 0)
-
-    dedup = _Dedup(budget)
-    dedup.admit(root_key, (0, 0, 0), 0)
     # payload: (key, (s, b, d), classes)
-    run.push(0, d.n_crossings + d.n_components, 0, root_key, (0, 0, 0), (0,))
+    run = _BestFirst(budget, (d,), cobordism=True, payload=((0, 0, 0), (0,)))
+    goal_key = canonical_key(parse_gauss("()"))
+    if run.root_keys[0] == goal_key:
+        return run.outcome(CobordismCertificate(d, (), parse_gauss("()")))
+
     for _, (_, sq, depth, _, spent, classes), diag in run.states():
         for index, key, size, child_spent, child_classes, _, _ in run.children(
             diag, spent, classes
         ):
             s, b, dd = child_spent
             if key == goal_key and s == b + dd:
-                refs, steps = run.line(root_key, run.chain(sq) + [(sq, index, key)])
+                refs, steps = run.line(0, run.chain(sq) + [(sq, index, key)])
                 translated = _translate_steps(refs, tuple(steps), d)
                 cert = CobordismCertificate(d, tuple(translated), refs[-1])
-                return run.outcome(cert, dedup.hits)
+                return run.outcome(cert)
             tag = _partition_tag(child_classes)
-            if dedup.admit(key + tag, child_spent, depth + 1):
+            if run.admit(0, key + tag, child_spent, depth + 1):
                 run.push(
-                    0, size, depth + 1, key, dedup.share(child_spent),
-                    dedup.share(child_classes), parent=(sq, index),
+                    0, size, depth + 1, key, run.share(child_spent),
+                    run.share(child_classes), parent=(sq, index),
                 )
-    return run.outcome(None, dedup.hits)
+    return run.outcome(None)
 
 
 # -- pairwise equivalence ------------------------------------------------
@@ -423,6 +427,11 @@ def search_equivalent(
     R-moves keep a diagram long or round and keep its number of
     components, so inputs that differ in either are refused with
     DiagramError before any search.
+
+    Each side admits children by the one dominance rule, on (key,
+    depth), so an "exhausted" run has expanded from each end every state
+    under the caps closer to it than max_depth.  The halves meet when
+    one side admits a key the other side has admitted.
     """
     if a.long != b.long:
         raise DiagramError("cannot relate a long and a round diagram")
@@ -432,30 +441,23 @@ def search_equivalent(
             f"{b.n_components} components by R-moves"
         )
     run = _BestFirst(budget, (a, b))
-    key_a, key_b = canonical_key(a), canonical_key(b)
-    if key_a == key_b:
-        return run.outcome(CobordismCertificate(a, (), b), 0)
+    if run.root_keys[0] == run.root_keys[1]:
+        return run.outcome(CobordismCertificate(a, (), b))
 
-    # visited[side]: key -> seq of the state on that side, for `run.chain`
-    visited = (
-        {key_a: run.push(0, a.n_crossings + a.n_components, 0, key_a)},
-        {key_b: run.push(1, b.n_crossings + b.n_components, 0, key_b)},
-    )
-    hits = 0
+    # seqs[side]: key -> seq of its latest state on that side, for `run.chain`
+    seqs = tuple({key: side} for side, key in enumerate(run.root_keys))
     for side, (_, sq, depth, _), diag in run.states():
         for index, key, size, *_ in run.children(diag):
-            if key in visited[side]:
-                hits += 1
+            if not run.admit(side, key, (0, 0, 0), depth + 1):
                 continue
-            if key in visited[1 - side]:
+            if key in seqs[1 - side]:
                 here = run.chain(sq) + [(sq, index, key)]
-                there = run.chain(visited[1 - side][key])
+                there = run.chain(seqs[1 - side][key])
                 chain_a, chain_b = (here, there) if side == 0 else (there, here)
-                cert = _splice(a, run.line(key_a, chain_a), run.line(key_b, chain_b), b)
-                return run.outcome(cert, hits)
-            seq = run.push(side, size, depth + 1, key, parent=(sq, index))
-            visited[side][key] = seq
-    return run.outcome(None, hits)
+                cert = _splice(a, run.line(0, chain_a), run.line(1, chain_b), b)
+                return run.outcome(cert)
+            seqs[side][key] = run.push(side, size, depth + 1, key, parent=(sq, index))
+    return run.outcome(None)
 
 
 def _splice(
@@ -506,16 +508,12 @@ def reduce_diagram(
         return d, 0
     min_genus = best_rank[1]
 
-    root_key = canonical_key(d)
-    dedup = _Dedup(budget)
-    dedup.admit(root_key, (0, 0, 0), 0)
-    run = _BestFirst(budget, (d,))
     # payload: the index into _SIZE_CLASSES of the class this pop expands
-    run.push(0, d.n_crossings + d.n_components, 0, root_key, 0)
+    run = _BestFirst(budget, (d,), payload=(0,))
     # No early stop: the best diagram seen improves until the last node.
     for _, (_, _, depth, state, cls), diag in run.states(stop_when_overfull=False):
         for _, key, size, _, _, comps, signs in run.children(diag, size_class=cls):
-            if not dedup.admit(key, (0, 0, 0), depth + 1):
+            if not run.admit(0, key, (0, 0, 0), depth + 1):
                 continue
             if len(signs) <= best_rank[0]:
                 child = _build(comps, signs, diag.long)
@@ -529,8 +527,8 @@ def reduce_diagram(
             run.push(0, size, depth + 1, key, 0)
         # The next class waits in the frontier at the size of its children.
         if cls + 1 < len(_SIZE_CLASSES):
-            kinds, growth = _SIZE_CLASSES[cls + 1]
-            if kinds <= run.kinds(diag):
+            growth = _SIZE_CLASSES[cls + 1][1]
+            if diag.n_crossings + growth <= run.cap_n:
                 size = diag.n_crossings + diag.n_components + growth
                 run.push(0, size, depth, state, cls + 1)
     return best, min_genus

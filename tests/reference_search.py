@@ -1,12 +1,18 @@
-"""A plain reference search for auditing `search_slice`'s pruning.
+"""Plain reference searches for auditing the searches' pruning.
 
-It walks every state the slice search could reach, with none of the
-search's shortcuts: no dominance, no depth, no early stop.  A state is
-(canonical key, surface partition in canonical component order, spent
-cobordism counters).  The caps and the closure rule are derived here
-independently, on each built child, through `apply_move` and
-`advance_classes`; keying and move enumeration are shared with the
-search, so a fault in those is not caught here.
+`reference_slice_states` walks every state the slice search could
+reach, with none of the search's shortcuts: no dominance, no depth, no
+early stop.  A state is (canonical key, surface partition in canonical
+component order, spent cobordism counters).  The caps and the closure
+rule are derived here independently, on each built child, through
+`apply_move` and `advance_classes`.  With every cobordism cap at 0 it
+walks the R-move closure that `reduce_diagram` searches.
+
+`reference_distances` walks the R-move graph breadth first for
+`search_equivalent`, keeping each key's least distance from the start.
+
+Keying and move enumeration are shared with the searches, so a fault in
+those is not caught here.
 """
 
 from __future__ import annotations
@@ -18,6 +24,12 @@ from vknots.certificates import advance_classes
 
 _COST = {"saddle": 0, "birth": 1, "death": 2}  # index into (s, b, d)
 _GROWTH = {"r1_insert": 1, "r2_insert": 2}  # crossings added
+
+
+def _r_move_kinds(diag, cap_n: int) -> set[str]:
+    """Every R-move kind, insertions only where they fit the crossing cap."""
+    grown = {k for k, grow in _GROWTH.items() if diag.n_crossings + grow <= cap_n}
+    return {"r1_delete", "r2_delete", "r3"} | grown
 
 
 def reference_slice_states(d, budget: SearchBudget):
@@ -32,10 +44,8 @@ def reference_slice_states(d, budget: SearchBudget):
     while todo:
         key, classes, spent = todo.pop()
         diag = parse_gauss(key)  # components in canonical order
-        # insertions that can fit the crossing cap, cobordism moves while
-        # their counters allow
-        kinds = {"r1_delete", "r2_delete", "r3"}
-        kinds |= {k for k, grow in _GROWTH.items() if diag.n_crossings + grow <= cap_n}
+        kinds = _r_move_kinds(diag, cap_n)
+        # cobordism moves while their counters allow
         kinds |= {k for k, i in _COST.items() if spent[i] < allowed[i]}
         for m in enumerate_moves(diag, kinds=kinds):
             child_spent = list(spent)
@@ -60,3 +70,23 @@ def reference_slice_states(d, budget: SearchBudget):
                 states.add(state)
                 todo.append(state)
     return states, found
+
+
+def reference_distances(a, budget: SearchBudget) -> dict[str, int]:
+    """Each key's least R-move distance from `a`, for the keys closer
+    than max_depth: a breadth-first walk that applies every R-move, with
+    insertions only where they fit the crossing cap."""
+    cap_n = max(budget.max_crossings, a.n_crossings)
+    distances = {canonical_key(a): 0}
+    layer = [a]
+    for depth in range(1, budget.max_depth):
+        reached = []
+        for diag in layer:
+            for m in enumerate_moves(diag, kinds=_r_move_kinds(diag, cap_n)):
+                child = apply_move(diag, m)
+                key = canonical_key(child)
+                if key not in distances:
+                    distances[key] = depth
+                    reached.append(child)
+        layer = reached
+    return distances

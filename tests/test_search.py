@@ -23,9 +23,9 @@ from vknots import (
     validate_certificate,
 )
 
-from .conftest import KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_walk
+from .conftest import KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_walk, scrambled
 from .oracles import assert_ends_agree
-from .reference_search import reference_slice_states
+from .reference_search import reference_distances, reference_slice_states
 
 # A six-crossing diagram of the unknot that R-moves take to "()"
 SIX_CROSSING_UNKNOT = "O1+U1+O2-O3+O4+U5-U6+O5-O6+U2-U3+U4+"
@@ -131,13 +131,15 @@ class TestSearchEquivalent:
             assert validate_certificate(cert, "concordance").ok
 
     def test_distinct_knots_exhaust_small_budget(self):
+        # Two keys first admitted through a long path are admitted again
+        # when a shorter path reaches them, so each is popped twice.
         out = search_equivalent(
             parse_gauss(VIRTUAL_TREFOIL),
             parse_gauss("()"),
             SearchBudget(max_crossings=4, max_components=2, max_nodes=10_000,
                          max_depth=8),
         )
-        assert (out.status, out.nodes, out.dedup) == ("exhausted", 1888, 6854)
+        assert (out.status, out.nodes, out.dedup) == ("exhausted", 1890, 6858)
 
     @pytest.mark.parametrize(
         "max_nodes,nodes,dedup", [(50, 2, 6), (500, 14, 160)]
@@ -361,6 +363,47 @@ class TestReduceAudit:
             assert admitted == {key for key, _, _ in states}
 
 
+class TestEquivalenceAudit:
+    """An "exhausted" `search_equivalent` expanded, from a's side, every
+    state closer to a than the depth cap, at its least distance.
+
+    The distances come from a plain breadth-first walk, so this guards
+    the search's dedup under a binding depth cap: a key first admitted
+    through a long path must be admitted again when a shorter path
+    reaches it.  Keying and move enumeration are shared with the
+    search, so a fault in those is not caught here."""
+
+    @pytest.mark.parametrize(
+        "code,cap,reached", [(VIRTUAL_TREFOIL, 4, 309), (TREFOIL, 5, 202)],
+        ids=["virtual-trefoil", "trefoil"],
+    )
+    def test_exhausted_run_expands_every_state_inside_depth_cap(
+        self, code, cap, reached, monkeypatch
+    ):
+        popped: dict[str, int] = {}  # key -> least depth popped on a's side
+        states = vknots.search._BestFirst.states
+
+        def spy(run, *args, **kw):
+            for side, entry, diag in states(run, *args, **kw):
+                if side == 0:
+                    popped[entry[3]] = min(entry[2], popped.get(entry[3], entry[2]))
+                yield side, entry, diag
+
+        monkeypatch.setattr(vknots.search._BestFirst, "states", spy)
+        a = parse_gauss(code)
+        budget = SearchBudget(
+            max_crossings=cap, max_components=1, max_nodes=10**6, max_depth=3
+        )
+        distances = reference_distances(a, budget)
+        assert len(distances) == reached
+        assert search_equivalent(a, parse_gauss("()"), budget).status == "exhausted"
+        missed = {
+            key: (depth, popped.get(key)) for key, depth in distances.items()
+            if popped.get(key) != depth
+        }
+        assert not missed, f"{len(missed)} not expanded at their distance: {missed}"
+
+
 class TestChildKeying:
     @pytest.mark.parametrize(
         "search,expected,bound",
@@ -461,6 +504,47 @@ class TestDeterminism:
         assert (first.nodes, first.dedup) == (again.nodes, again.dedup)
         assert first.certificate == again.certificate
         assert validate_certificate(first.certificate, "concordance").ok
+
+
+class TestRelabeling:
+    """Every search runs on canonical keys, so relabeling its input
+    changes none of its counters, only the certificate's translation."""
+
+    SEARCHES = {
+        "slice-kishino": (
+            KISHINO, lambda d: search_slice(d, KISHINO_BUDGET),
+        ),
+        "equivalent-six-crossing": (
+            SIX_CROSSING_UNKNOT,
+            lambda d: search_equivalent(d, parse_gauss("()"), UNKNOT_BUDGET),
+        ),
+        "equivalent-virtual-trefoil": (
+            VIRTUAL_TREFOIL,
+            lambda d: search_equivalent(
+                d, parse_gauss("()"),
+                SearchBudget(max_crossings=4, max_components=2, max_nodes=10_000,
+                             max_depth=8),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_search_counters_ignore_labels(self, name, rng):
+        code, search = self.SEARCHES[name]
+        d = parse_gauss(code)
+        expected = _counters(search(d))
+        for _ in range(5):
+            out = search(scrambled(d, rng))
+            assert _counters(out) == expected
+            if out.certificate is not None:
+                assert validate_certificate(out.certificate, "concordance").ok
+
+    def test_reduction_ignores_labels(self, rng):
+        d = parse_gauss(SIX_CROSSING_UNKNOT)
+        best, genus = reduce_diagram(d, UNKNOT_BUDGET)
+        for _ in range(5):
+            again, again_genus = reduce_diagram(scrambled(d, rng), UNKNOT_BUDGET)
+            assert (canonical_key(again), again_genus) == (canonical_key(best), genus)
 
 
 def _ribbon_sum():
