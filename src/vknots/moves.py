@@ -15,8 +15,12 @@ Move kinds:
 Enumeration and application share one site finder per kind: `_sites`
 lists every pair of adjacent endpoints, and the r1 kinks, r2 pairs and
 r3 triangles that `enumerate_moves` offers are the ones the appliers
-accept, found by the same readers of that list.  `enumerate_moves`
-builds the list once and hands it to all three readers.
+accept, found by the same readers of that list.  `_SiteTables` holds
+the list and what each reader found in it for one diagram;
+`enumerate_moves` fills it, and a caller that applies the moves it
+listed hands it to `_apply_core`, so the appliers look their pattern up
+there instead of finding it again.  A move from anywhere else, such as
+certificate text, gets the full lookup and every refusal.
 
 `PARAMS` lists each kind's parameters in text order and the role of
 each (a crossing id, a component, an arc, a sign or an endpoint order);
@@ -203,12 +207,19 @@ def apply_move_with_inverse(d: GaussDiagram, m: Move) -> tuple[GaussDiagram, Mov
     return _build(comps, signs, d.long), inv
 
 
-def _apply_core(d: GaussDiagram, m: Move) -> tuple[list[list[Endpoint]], dict[int, int], Move]:
+def _apply_core(
+    d: GaussDiagram, m: Move, tables: _SiteTables | None = None
+) -> tuple[list[list[Endpoint]], dict[int, int], Move]:
     """The result's endpoint lists and sign table, not yet checked, and
-    the exact inverse move on the result."""
+    the exact inverse move on the result.  `tables`, the site tables of
+    `d` that `enumerate_moves` filled, spare an r1-, r2- or r3 applier
+    its own lookup."""
     comps = [list(c) for c in d.components]
     signs = dict(d._sign_map)
-    inv = _HANDLERS[m.kind](d, m, comps, signs)
+    if tables is not None and m.kind in _SITE_KINDS:
+        inv = _HANDLERS[m.kind](d, m, comps, signs, tables)
+    else:
+        inv = _HANDLERS[m.kind](d, m, comps, signs)
     return comps, signs, inv
 
 
@@ -235,12 +246,6 @@ def _fresh_ids(d: GaussDiagram, count: int) -> list[int]:
     return [base + i + 1 for i in range(count)]
 
 
-def _raw_adjacent(cyclic: bool, k: int, i: int, j: int) -> bool:
-    if cyclic:
-        return k >= 2 and j == (i + 1) % k
-    return j == i + 1
-
-
 # -- adjacency sites -----------------------------------------------------
 #
 # Every r1-, r2- and r3 pattern is made of sites: two endpoints, the
@@ -262,6 +267,41 @@ def _sites(d: GaussDiagram) -> list[tuple[int, int, int, Endpoint, Endpoint]]:
     return out
 
 
+_SITE_KINDS = frozenset({"r1_delete", "r2_delete", "r3"})
+
+
+class _SiteTables:
+    """The sites of one diagram and the r1 kinks, r2 pairs and r3
+    triangles read off them, each built on first use.  `enumerate_moves`
+    fills them, and the appliers of the moves it listed read them
+    instead of finding their pattern again."""
+
+    __slots__ = ("d", "sites", "_kinks", "_pairs", "_triangles")
+
+    def __init__(self, d: GaussDiagram):
+        self.d = d
+        self.sites = _sites(d)
+        self._kinks = self._pairs = self._triangles = None
+
+    def kinks(self) -> dict[int, tuple[int, int, str]]:
+        if self._kinks is None:
+            self._kinks = _r1_kinks(self.sites)
+        return self._kinks
+
+    def pairs(self) -> tuple[dict, dict]:
+        if self._pairs is None:
+            self._pairs = _r2_pairs(self.sites)
+        return self._pairs
+
+    def triangles(self) -> dict[tuple[int, int, int], tuple]:
+        """Sorted crossing ids -> the first triple of sites on them."""
+        if self._triangles is None:
+            self._triangles = {}
+            for ids, triple in _r3_triangles(self.d, self.sites):
+                self._triangles.setdefault(ids, triple)
+        return self._triangles
+
+
 def _check_crossing(d: GaussDiagram, x) -> None:
     if x not in d._sign_map:
         raise MoveError(f"no crossing {x}")
@@ -281,10 +321,13 @@ def _r1_kinks(sites: list) -> dict[int, tuple[int, int, str]]:
     return kinks
 
 
-def _apply_r1_delete(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
+def _apply_r1_delete(
+    d: GaussDiagram, m: Move, comps: list, signs: dict, tables=None
+) -> Move:
     x = m["x"]
     _check_crossing(d, x)
-    kink = _r1_kinks(_sites(d)).get(x)
+    kinks = tables.kinks() if tables else _r1_kinks(_sites(d))
+    kink = kinks.get(x)
     if kink is None:
         raise MoveError(f"endpoints of crossing {x} are not adjacent; not an r1 kink")
     c, i, order = kink
@@ -335,7 +378,9 @@ def _ordered_pair(pairs: dict, a: int, b: int):
     return None
 
 
-def _apply_r2_delete(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
+def _apply_r2_delete(
+    d: GaussDiagram, m: Move, comps: list, signs: dict, tables=None
+) -> Move:
     a, b = m["a"], m["b"]
     if a == b:
         raise MoveError("r2_delete needs two distinct crossings")
@@ -343,7 +388,7 @@ def _apply_r2_delete(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move
         _check_crossing(d, x)
     if d.sign_of(a) != -d.sign_of(b):
         raise MoveError(f"crossings {a},{b} do not have opposite signs")
-    over_pairs, under_pairs = _r2_pairs(_sites(d))
+    over_pairs, under_pairs = tables.pairs() if tables else _r2_pairs(_sites(d))
     over = _ordered_pair(over_pairs, a, b)
     under = _ordered_pair(under_pairs, a, b)
     if over is None or under is None:
@@ -403,17 +448,12 @@ def _apply_r2_insert(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move
     q = _check_arc(c2, m["q"], n_arcs(k2, cyclic2))
     slot2 = slot_of_arc(k2, cyclic2, q)
     pair = [(b, UNDER), (a, UNDER)] if order == "UO" else [(a, UNDER), (b, UNDER)]
-    comps[c2][slot2:slot2] = pair
     # The under pair must not land between the two over endpoints, or the
-    # result is not an r2 pattern.
-    final1 = comps[c1]
-    pa, pb = final1.index((a, OVER)), final1.index((b, OVER))
-    cyclic1 = d.cyclic(c1)
-    if not (
-        _raw_adjacent(cyclic1, len(final1), pa, pb)
-        or _raw_adjacent(cyclic1, len(final1), pb, pa)
-    ):
+    # result is not an r2 pattern; on a chordless circle the over pair
+    # also meets round the wrap, after the under pair.
+    if c2 == c1 and slot2 == slot + 1 and not (cyclic2 and k2 == 2):
         raise MoveError("under arc q splits the over pair; not an r2 insertion")
+    comps[c2][slot2:slot2] = pair
     return Move.of("r2_delete", a=a, b=b)
 
 
@@ -501,16 +541,22 @@ def _r3_legal(d: GaussDiagram, a, b, c) -> bool:
     )
 
 
-def _apply_r3(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
+def _apply_r3(
+    d: GaussDiagram, m: Move, comps: list, signs: dict, tables=None
+) -> Move:
     ids = (m["a"], m["b"], m["c"])
     if len(set(ids)) != 3:
         raise MoveError("r3 needs three distinct crossings")
     for x in ids:
         _check_crossing(d, x)
-    triangles = _r3_triangles(d, _sites(d), ids)
-    if not triangles:
+    if tables is None:
+        found = _r3_triangles(d, _sites(d), ids)
+        triple = found[0][1] if found else None
+    else:
+        triple = tables.triangles().get(tuple(sorted(ids)))
+    if triple is None:
         raise MoveError(f"crossings {ids} do not form an r3 triangle")
-    for c, i, j, _, _ in triangles[0][1]:
+    for c, i, j, _, _ in triple:
         comps[c][i], comps[c][j] = comps[c][j], comps[c][i]
     return m
 
@@ -609,24 +655,28 @@ _HANDLERS = {
 def enumerate_moves(
     d: GaussDiagram,
     kinds: Iterable[str] = ALL_KINDS,
+    tables: _SiteTables | None = None,
 ) -> list[Move]:
     """All applicable moves of the requested kinds, deletions first.
 
     The order is: r1/r2 deletions, r3, insertions, cobordism moves, so a
     consumer that expands in list order is biased toward simplification.
+    The r1-, r2- and r3 moves are read off the site tables of `d`, which
+    a caller that applies them hands in as `tables` to reuse.
     """
     kinds = set(kinds)
     unknown = kinds - ALL_KINDS
     if unknown:
         raise MoveError(f"unknown move kinds {sorted(unknown)}")
     out: list[Move] = []
-    sites = _sites(d)
+    if tables is None:
+        tables = _SiteTables(d)
     if "r1_delete" in kinds:
-        out.extend(_enum_r1_delete(sites))
+        out.extend(Move.of("r1_delete", x=x) for x in sorted(tables.kinks()))
     if "r2_delete" in kinds:
-        out.extend(_enum_r2_delete(d, sites))
+        out.extend(_enum_r2_delete(d, tables.pairs()))
     if "r3" in kinds:
-        out.extend(_enum_r3(d, sites))
+        out.extend(Move.of("r3", a=a, b=b, c=c) for a, b, c in tables.triangles())
     if "r1_insert" in kinds:
         out.extend(_enum_r1_insert(d))
     if "r2_insert" in kinds:
@@ -640,23 +690,14 @@ def enumerate_moves(
     return out
 
 
-def _enum_r1_delete(sites: list) -> list[Move]:
-    return [Move.of("r1_delete", x=x) for x in sorted(_r1_kinks(sites))]
-
-
-def _enum_r2_delete(d: GaussDiagram, sites: list) -> list[Move]:
-    over, under = _r2_pairs(sites)
+def _enum_r2_delete(d: GaussDiagram, pairs: tuple[dict, dict]) -> list[Move]:
+    over, under = pairs
     found = {(min(k), max(k)) for k in over if k in under or k[::-1] in under}
     return [
         Move.of("r2_delete", a=a, b=b)
         for a, b in sorted(found)
         if d.sign_of(a) == -d.sign_of(b)
     ]
-
-
-def _enum_r3(d: GaussDiagram, sites: list) -> list[Move]:
-    first_found = dict.fromkeys(ids for ids, _ in _r3_triangles(d, sites))
-    return [Move.of("r3", a=a, b=b, c=c) for a, b, c in first_found]
 
 
 def _all_arcs(d: GaussDiagram) -> list[tuple[int, int]]:

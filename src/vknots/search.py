@@ -30,10 +30,16 @@ reduction candidate no larger than the best seen, for its Carter genus.
 The engine keeps the parent pointers: a record (parent seq, move index,
 key) names the move that made its state by its index in the parent's
 enumeration, not by a `Move`, so a found chain is rebuilt by enumerating
-again the few diagrams on it, then translated onto the input.  Small
-tuples (cobordism counters, dedup vectors, surface partitions) take
-only a handful of distinct values, and each search shares one tuple per
-value among its states.
+again the few diagrams on it, then translated onto the input.  A record
+is written when its state is popped for expansion, since a chain passes
+through expanded states only; a queued state is one heap entry that
+carries its parent seq and move index (sparse-memory graph search, Zhou
+and Hansen, IJCAI 2003).  Most admitted states are never popped: the
+trefoil probe at crossings <= 7 under 50,000 nodes queues 50,106
+states and pops 277.
+Small tuples (cobordism counters, dedup vectors, surface partitions)
+take only a handful of distinct values, and each search shares one
+tuple per value among its states.
 
 All three searches deduplicate states by one rule, per frontier, on
 (canonical key, spent cobordism counters, depth) with dominance: a state
@@ -88,6 +94,7 @@ from .moves import (
     Move,
     _apply_core,
     _build,
+    _SiteTables,
     apply_move_with_inverse,
     enumerate_moves,
 )
@@ -167,19 +174,25 @@ class _BestFirst:
     """The best-first loop that all three searches run through.
 
     There is one frontier per root diagram, a heap of entries
-    (priority, seq, depth, key, *payload) popped in (priority, seq)
-    order; the state's canonical key opens the payload and the rest is
-    the search's own.  Root `side` is keyed, admitted and pushed at
-    depth 0 with the search's root `payload` as seq `side`.  `states`
-    pops one state from each nonempty frontier in turn and parses its
+    (priority, seq, depth, key, parent, index, *payload) popped in
+    (priority, seq) order: the state's canonical key, the seq of the
+    popped state that made it and the move's index in that state's
+    enumeration (both None for a root or a state re-queued whole), then
+    the search's own payload.  Root `side` is keyed, admitted and pushed
+    at depth 0 with the search's root `payload` as seq `side`.  `states`
+    pops one state from each nonempty frontier in turn, writes its
+    parent record (parent, index, key) if it is expanded, and parses its
     key; `children` prunes a popped state's moves before applying them
     and hands on each finished child: its key, size, cobordism counters
-    and surface labels; `admit` deduplicates; `push` keeps a child's
-    parent pointer, which `chain` follows and `line` rebuilds.  A search
-    supplies only its dedup identity and its goal test.  The caps on
-    crossings and components are the budget's, raised to fit the roots.
+    and surface labels; `admit` deduplicates; `push` queues a child,
+    writing nothing but its heap entry; `chain` follows the records and
+    `line` rebuilds them.  A search supplies only its dedup identity and
+    its goal test.  The caps on crossings and components are the
+    budget's, raised to fit the roots.
 
-    Each frontier keeps identity -> minimal (s, b, d, depth) vectors.  A
+    Each frontier keeps identity -> minimal (s, b, d, depth) vectors: the
+    vector itself, bare, while it is the only one, and a tuple of
+    vectors only while incomparable ones coexist for the identity.  A
     path of length L expands L distinct prefixes, so when max_depth >=
     max_nodes the depth cap can never bind and depth is dropped from the
     vector.  `share` keeps one tuple per distinct value for the whole
@@ -196,12 +209,13 @@ class _BestFirst:
         self.cap_c = max(budget.max_components, *(r.n_components for r in roots))
         self.cobordism = cobordism
         self.frontiers: list[list[tuple]] = [[] for _ in roots]
-        self.parents: dict[int, tuple[int, int, str]] = {}  # seq -> record
+        self.parents: dict[int, tuple[int, int, str]] = {}  # popped seq -> record
         self.seq = 0
         self.nodes = 0
         self.status = "exhausted"
         self.track_depth = budget.max_depth < budget.max_nodes
-        self.tables: list[dict[str, tuple]] = [{} for _ in roots]  # ident -> vectors
+        # ident -> its vector, or a tuple of incomparable vectors
+        self.tables: list[dict[str, tuple]] = [{} for _ in roots]
         self.tuples: dict[tuple, tuple] = {}
         self.hits = 0
         self.root_keys = tuple(canonical_key(r) for r in roots)
@@ -227,28 +241,32 @@ class _BestFirst:
         and depth no larger.  A skip counts as a dedup hit."""
         vec = (*spent, depth if self.track_depth else 0)
         table = self.tables[side]
-        entries = table.get(ident, ())
-        for old in entries:
-            if all(o <= n for o, n in zip(old, vec)):
+        old = table.get(ident)
+        if old is None:
+            table[ident] = self.share(vec)
+            return True
+        entries = old if type(old[0]) is tuple else (old,)
+        for e in entries:
+            if all(o <= n for o, n in zip(e, vec)):
                 self.hits += 1
                 return False
         kept = [e for e in entries if not all(n <= o for o, n in zip(e, vec))]
-        table[ident] = (*kept, self.share(vec))
+        table[ident] = (*kept, self.share(vec)) if kept else self.share(vec)
         return True
 
     def push(
-        self, side: int, size: int, depth: int, key: str, *payload, parent=None
-    ) -> int:
+        self, side: int, size: int, depth: int, key: str, *payload,
+        parent: tuple = (None, None),
+    ) -> None:
         """Queue the state keyed `key`, of `size` crossings plus
-        components, to frontier `side`; return its seq.  A `parent`
-        (parent seq, move index) is kept as the record (parent, index,
-        key) that `chain` follows."""
-        seq = self.seq
+        components, to frontier `side`.  `parent` (parent seq, move
+        index) names the popped state and the move that made it; only
+        the heap entry is written, and `states` keeps the record when
+        it pops the entry."""
+        heapq.heappush(
+            self.frontiers[side], (size, self.seq, depth, key, *parent, *payload)
+        )
         self.seq += 1
-        heapq.heappush(self.frontiers[side], (size, seq, depth, key, *payload))
-        if parent is not None:
-            self.parents[seq] = (*parent, key)
-        return seq
 
     def chain(self, seq: int) -> list[tuple[int, int, str]]:
         """The parent records (parent, index, key) from a root to `seq`."""
@@ -287,6 +305,8 @@ class _BestFirst:
                 entry = heapq.heappop(heap)
                 self.nodes += 1
                 if entry[2] < budget.max_depth:
+                    if entry[4] is not None:
+                        self.parents[entry[1]] = (entry[4], entry[5], entry[3])
                     yield side, entry, parse_gauss(entry[3])
 
     def kinds(
@@ -356,7 +376,8 @@ class _BestFirst:
         if size_class is not None:
             only = _SIZE_CLASSES[size_class][0]
             kinds &= frozenset().union(*(k for k, _ in _SIZE_CLASSES[: size_class + 1]))
-        for i, m in enumerate(enumerate_moves(diag, kinds=kinds)):
+        tables = _SiteTables(diag)
+        for i, m in enumerate(enumerate_moves(diag, kinds=kinds, tables=tables)):
             if only is not None and m.kind not in only:
                 continue
             labels = classes
@@ -364,7 +385,7 @@ class _BestFirst:
                 labels, closed = advance_classes(classes, m, diag)
                 if closed or len(labels) > self.cap_c:
                     continue
-            comps, signs, _ = _apply_core(diag, m)
+            comps, signs, _ = _apply_core(diag, m, tables)
             _check_endpoints(comps, signs)
             key, order = _key_and_order(comps, signs, diag.long)
             if self.cobordism:
@@ -390,13 +411,13 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
         raise DiagramError("search_slice needs a round diagram")
     if d.n_components != 1:
         raise DiagramError("search_slice needs a one-component knot")
-    # payload: (key, (s, b, d), classes)
+    # payload: ((s, b, d), classes)
     run = _BestFirst(budget, (d,), cobordism=True, payload=((0, 0, 0), (0,)))
     goal_key = canonical_key(parse_gauss("()"))
     if run.root_keys[0] == goal_key:
         return run.outcome(CobordismCertificate(d, (), parse_gauss("()")))
 
-    for _, (_, sq, depth, _, spent, classes), diag in run.states():
+    for _, (_, sq, depth, _, _, _, spent, classes), diag in run.states():
         for index, key, size, child_spent, child_classes, _, _ in run.children(
             diag, spent, classes
         ):
@@ -444,19 +465,26 @@ def search_equivalent(
     if run.root_keys[0] == run.root_keys[1]:
         return run.outcome(CobordismCertificate(a, (), b))
 
-    # seqs[side]: key -> seq of its latest state on that side, for `run.chain`
-    seqs = tuple({key: side} for side, key in enumerate(run.root_keys))
-    for side, (_, sq, depth, _), diag in run.states():
+    # made[side]: key -> (parent seq, move index) of its latest admission
+    # on that side, None for the root.  The parent was popped, so
+    # `run.chain` reaches it, while the state itself may still be queued.
+    made = tuple({key: None} for key in run.root_keys)
+
+    def records(link, key):
+        return [] if link is None else run.chain(link[0]) + [(*link, key)]
+
+    for side, (_, sq, depth, _, _, _), diag in run.states():
         for index, key, size, *_ in run.children(diag):
             if not run.admit(side, key, (0, 0, 0), depth + 1):
                 continue
-            if key in seqs[1 - side]:
-                here = run.chain(sq) + [(sq, index, key)]
-                there = run.chain(seqs[1 - side][key])
+            if key in made[1 - side]:
+                here = records((sq, index), key)
+                there = records(made[1 - side][key], key)
                 chain_a, chain_b = (here, there) if side == 0 else (there, here)
                 cert = _splice(a, run.line(0, chain_a), run.line(1, chain_b), b)
                 return run.outcome(cert)
-            seqs[side][key] = run.push(side, size, depth + 1, key, parent=(sq, index))
+            made[side][key] = link = (sq, index)
+            run.push(side, size, depth + 1, key, parent=link)
     return run.outcome(None)
 
 
@@ -511,7 +539,7 @@ def reduce_diagram(
     # payload: the index into _SIZE_CLASSES of the class this pop expands
     run = _BestFirst(budget, (d,), payload=(0,))
     # No early stop: the best diagram seen improves until the last node.
-    for _, (_, _, depth, state, cls), diag in run.states(stop_when_overfull=False):
+    for _, (_, _, depth, state, _, _, cls), diag in run.states(stop_when_overfull=False):
         for _, key, size, _, _, comps, signs in run.children(diag, size_class=cls):
             if not run.admit(0, key, (0, 0, 0), depth + 1):
                 continue

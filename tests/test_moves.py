@@ -20,6 +20,7 @@ from vknots import (
     render_move,
 )
 from vknots.certificates import advance_classes, initial_classes
+from vknots.moves import _apply_core, _SiteTables
 
 from .conftest import CORPUS, KISHINO, TREFOIL, random_diagram, random_walk
 from .oracles import index_polynomial_oracle, odd_writhe_oracle
@@ -113,6 +114,8 @@ class TestApply:
             # q lands between the two new over endpoints
             ("O1+U1+", "r2+ c1=0 p=0 c2=0 q=1 sign=+ order=OU", "splits the over pair"),
             ("L:O1+U1+", "r2+ c1=0 p=0 c2=0 q=1 sign=+ order=OU", "splits the over pair"),
+            # a bare strand does not wrap round
+            ("L:", "r2+ c1=0 p=0 c2=0 q=1 sign=+ order=OU", "splits the over pair"),
             ("O1+U1+", "r3 a=1 b=1 c=2", "three distinct"),
             ("L:O1+U1+", "death c=0", "open strand"),
             ("O1+U1+", None, "unknown move kinds"),  # enumerating kind r4
@@ -125,6 +128,17 @@ class TestApply:
                 list(enumerate_moves(d, kinds={"r4"}))
             else:
                 apply_move(d, parse_move(move))
+
+    def test_r2_insert_wraps_round_a_chordless_circle(self):
+        # The under pair lands right after the first over endpoint, but
+        # on a circle that held no endpoints the over pair still meets
+        # round the wrap.
+        d = parse_gauss("()")
+        result, inv = apply_move_with_inverse(
+            d, parse_move("r2+ c1=0 p=0 c2=0 q=0 sign=+ order=OU")
+        )
+        assert render_gauss(result) == "O1+U1+U2-O2-"
+        assert canonical_key(apply_move(result, inv)) == canonical_key(d)
 
     def test_saddle_with_strand_second(self):
         # Enumeration always names the strand first; certificate text may
@@ -319,6 +333,23 @@ class TestInverses:
             for m in enumerate_moves(d, kinds=ALL):
                 _, inv = apply_move_with_inverse(d, m)
                 assert inv.kind == pairs[m.kind]
+
+
+class TestSiteTables:
+    def test_appliers_given_the_tables_match_the_full_lookup(self, rng):
+        # The searches hand each applier the site tables that listed its
+        # move; a move from text looks its pattern up itself.  Both give
+        # the same result and inverse.
+        diagrams = [parse_gauss(text) for text in CORPUS]
+        diagrams += [random_diagram(rng, max_crossings=5) for _ in range(60)]
+        applied = Counter()
+        for d in diagrams:
+            tables = _SiteTables(d)
+            for m in enumerate_moves(d, kinds={"r1_delete", "r2_delete", "r3"},
+                                     tables=tables):
+                assert _apply_core(d, m, tables) == _apply_core(d, m)
+                applied[m.kind] += 1
+        assert set(applied) == {"r1_delete", "r2_delete", "r3"}
 
 
 class TestPinnedOutputs:

@@ -171,6 +171,51 @@ class TestSearchEquivalent:
         assert validate_certificate(out.certificate, "concordance").ok
         assert_ends_agree(render_certificate(out.certificate))
 
+    def test_halves_meet_at_the_other_root(self):
+        # a's first child is b's root, before b's side pops anything, so
+        # b's half of the chain is empty.
+        a, b = parse_gauss("O1+U1+"), parse_gauss("()")
+        out = search_equivalent(a, b, SearchBudget.small())
+        assert (out.status, out.nodes, out.dedup) == ("found", 1, 0)
+        text = render_certificate(out.certificate)
+        assert text == "start: O1+U1+\nr1- x=1\nend: ()\n"
+        assert validate_certificate(out.certificate, "concordance").ok
+
+    @pytest.mark.parametrize(
+        "a,b,budget,steps",
+        [("O1+U1+O2-U2-", "()", SearchBudget.small(), (1, 1)),
+         ("O1+U1+O2-U3+O3+U4+U2-O4+", SIX_CROSSING_UNKNOT, UNKNOT_BUDGET, (4, 3))],
+        ids=["kinks", "six-crossing"],
+    )
+    def test_halves_meet_at_a_queued_state(self, a, b, budget, steps, monkeypatch):
+        # The meeting state was admitted on the other side but never
+        # popped, so it has no parent record there: its chain is rebuilt
+        # from the (parent, index) of its admission.
+        popped = set()
+        states = vknots.search._BestFirst.states
+
+        def spy(run, *args, **kw):
+            for side, entry, diag in states(run, *args, **kw):
+                popped.add(entry[3])
+                yield side, entry, diag
+
+        lines = []
+        splice = vknots.search._splice
+
+        def spy_splice(a, line_a, line_b, b):
+            lines.append((line_a, line_b))
+            return splice(a, line_a, line_b, b)
+
+        monkeypatch.setattr(vknots.search._BestFirst, "states", spy)
+        monkeypatch.setattr(vknots.search, "_splice", spy_splice)
+        out = search_equivalent(parse_gauss(a), parse_gauss(b), budget)
+        assert out.status == "found"
+        [((refs_a, steps_a), (refs_b, steps_b))] = lines
+        assert (len(steps_a), len(steps_b)) == steps
+        assert canonical_key(refs_a[-1]) not in popped
+        assert validate_certificate(out.certificate, "concordance").ok
+        assert_ends_agree(render_certificate(out.certificate))
+
     def test_long_round_mismatch(self):
         with pytest.raises(DiagramError):
             search_equivalent(
@@ -481,6 +526,24 @@ class TestChildKeying:
         )
         assert by_class == whole
 
+    def test_site_tables_built_once_per_expansion(self, monkeypatch):
+        # The r1-, r2- and r3 children of a popped diagram read the site
+        # tables its enumeration built; only rebuilding and translating
+        # the found line, two per step at most, finds sites again.
+        built = 0
+        sites = vknots.moves._sites
+
+        def counted(d):
+            nonlocal built
+            built += 1
+            return sites(d)
+
+        monkeypatch.setattr(vknots.moves, "_sites", counted)
+        out = search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
+        assert _counters(out) == ("found", 41, 1976)
+        # 83 when each r1-, r2- and r3 applier found its own sites
+        assert built <= out.nodes + 2 * len(out.certificate.steps)
+
     def test_child_endpoints_are_checked(self, monkeypatch):
         kink = vknots.moves._HANDLERS["r1_insert"]
 
@@ -609,9 +672,11 @@ class TestGoldenCertificates:
 
 class TestMemory:
     def test_trefoil_probe_peak_stays_small(self):
-        # The bound sits between the 5.89 MB this run peaks at when each
-        # parent pointer holds a `Move` and the 2.5 MB it peaks at when
-        # the pointer holds the move's enumeration index.
+        # The bound sits between the 2.09-2.23 MB this run peaks at when
+        # every queued state has a parent record and a 1-tuple of
+        # dominance vectors, and the 1.55-1.69 MB it peaks at when only
+        # popped states have records and a lone vector is stored bare
+        # (CPython 3.10-3.13).
         budget = SearchBudget(
             max_crossings=7, max_components=4, max_saddles=2, max_births=2,
             max_deaths=2, max_nodes=5_000, max_depth=1_000_000,
@@ -624,4 +689,20 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert (out.status, out.nodes, out.dedup) == ("budget-hit", 24, 884)
-        assert peak < 4_000_000
+        assert peak < 1_850_000
+
+    def test_parent_records_only_for_popped_states(self, monkeypatch):
+        # A queued state is one heap entry; its parent record is written
+        # when it is popped, so a run keeps at most one per node.
+        held = []
+        outcome = vknots.search._BestFirst.outcome
+
+        def spy(run, cert):
+            held.append((len(run.parents), run.seq))
+            return outcome(run, cert)
+
+        monkeypatch.setattr(vknots.search._BestFirst, "outcome", spy)
+        out = search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
+        assert (out.status, out.nodes, out.dedup) == ("found", 41, 1976)
+        ((records, queued),) = held
+        assert records <= out.nodes < queued
