@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / found / valid; 1 search exhausted or claim not
-established; 2 invalid certificate; 3 parse or usage error.
+established; 2 invalid certificate; 3 parse or usage error; 130
+interrupted (Ctrl-C).
 
 Machine output is line-oriented ``key=value`` records so scripts in any
 language can scrape it.
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_NOT_ESTABLISHED = 1
 EXIT_INVALID_CERT = 2
 EXIT_USAGE = 3
+EXIT_INTERRUPTED = 130
 
 
 class UsageError(Exception):
@@ -150,6 +152,9 @@ def main(argv=None) -> int:
     except (DiagramError, MoveError, CertificateError, UsageError, OSError) as err:
         print(f"vknots: error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("vknots: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _dispatch(args) -> int:

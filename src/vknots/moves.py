@@ -16,11 +16,12 @@ Enumeration and application share one site finder per kind: `_sites`
 lists every pair of adjacent endpoints, and the r1 kinks, r2 pairs and
 r3 triangles that `enumerate_moves` offers are the ones the appliers
 accept, found by the same readers of that list.  `_SiteTables` holds
-the list and what each reader found in it for one diagram;
-`enumerate_moves` fills it, and a caller that applies the moves it
-listed hands it to `_apply_core`, so the appliers look their pattern up
-there instead of finding it again.  A move from anywhere else, such as
-certificate text, gets the full lookup and every refusal.
+the list and what each reader found in it for one diagram, and every
+r1-, r2- and r3 applier reads its pattern there.  `enumerate_moves`
+fills the tables, and a caller that applies the moves it listed hands
+them to `_apply_core`, so the appliers do not find the pattern again;
+a move from anywhere else, such as certificate text, has its tables
+built from the diagram when its handler needs them.
 
 `PARAMS` lists each kind's parameters in text order and the role of
 each (a crossing id, a component, an arc, a sign or an endpoint order);
@@ -211,16 +212,12 @@ def _apply_core(
     d: GaussDiagram, m: Move, tables: _SiteTables | None = None
 ) -> tuple[list[list[Endpoint]], dict[int, int], Move]:
     """The result's endpoint lists and sign table, not yet checked, and
-    the exact inverse move on the result.  `tables`, the site tables of
-    `d` that `enumerate_moves` filled, spare an r1-, r2- or r3 applier
-    its own lookup."""
+    the exact inverse move on the result.  `tables` are the site tables
+    of `d` that `enumerate_moves` filled; without them an r1-, r2- or r3
+    handler builds its own from `d`."""
     comps = [list(c) for c in d.components]
     signs = dict(d._sign_map)
-    if tables is not None and m.kind in _SITE_KINDS:
-        inv = _HANDLERS[m.kind](d, m, comps, signs, tables)
-    else:
-        inv = _HANDLERS[m.kind](d, m, comps, signs)
-    return comps, signs, inv
+    return comps, signs, _HANDLERS[m.kind](d, m, comps, signs, tables)
 
 
 def _build(comps: list, signs: dict, long: bool) -> GaussDiagram:
@@ -267,14 +264,12 @@ def _sites(d: GaussDiagram) -> list[tuple[int, int, int, Endpoint, Endpoint]]:
     return out
 
 
-_SITE_KINDS = frozenset({"r1_delete", "r2_delete", "r3"})
-
-
 class _SiteTables:
     """The sites of one diagram and the r1 kinks, r2 pairs and r3
-    triangles read off them, each built on first use.  `enumerate_moves`
-    fills them, and the appliers of the moves it listed read them
-    instead of finding their pattern again."""
+    triangles read off them, each built on first use.  Every r1-, r2-
+    and r3 applier reads its pattern here, from the tables that
+    `enumerate_moves` filled when it listed the move, or else from
+    tables built for the one application."""
 
     __slots__ = ("d", "sites", "_kinks", "_pairs", "_triangles")
 
@@ -284,21 +279,30 @@ class _SiteTables:
         self._kinks = self._pairs = self._triangles = None
 
     def kinks(self) -> dict[int, tuple[int, int, str]]:
+        """Crossing id -> (comp, pos, order) for each crossing whose two
+        endpoints form a site, starting at pos.  Where both orders are
+        sites (a circle holding only that crossing), OU wins."""
         if self._kinks is None:
-            self._kinks = _r1_kinks(self.sites)
+            self._kinks = kinks = {}
+            for c, i, _, (x, role), (y, _) in self.sites:
+                if x == y and (role == OVER or x not in kinks):
+                    kinks[x] = (c, i, "OU" if role == OVER else "UO")
         return self._kinks
 
     def pairs(self) -> tuple[dict, dict]:
+        """(over, under): each maps (first id, second id) -> (comp, pos)
+        for the sites whose endpoints are both over, respectively both
+        under."""
         if self._pairs is None:
-            self._pairs = _r2_pairs(self.sites)
+            self._pairs = over, under = {}, {}
+            for c, i, _, (x, rx), (y, ry) in self.sites:
+                if rx == ry:
+                    (over if rx == OVER else under)[(x, y)] = (c, i)
         return self._pairs
 
     def triangles(self) -> dict[tuple[int, int, int], tuple]:
-        """Sorted crossing ids -> the first triple of sites on them."""
         if self._triangles is None:
-            self._triangles = {}
-            for ids, triple in _r3_triangles(self.d, self.sites):
-                self._triangles.setdefault(ids, triple)
+            self._triangles = _r3_triangles(self.d, self.sites)
         return self._triangles
 
 
@@ -310,24 +314,10 @@ def _check_crossing(d: GaussDiagram, x) -> None:
 # -- R1 ------------------------------------------------------------------
 
 
-def _r1_kinks(sites: list) -> dict[int, tuple[int, int, str]]:
-    """Crossing id -> (comp, pos, order) for each crossing whose two
-    endpoints form one of `sites`, starting at pos.  Where both orders
-    are sites (a circle holding only that crossing), OU wins."""
-    kinks = {}
-    for c, i, _, (x, role), (y, _) in sites:
-        if x == y and (role == OVER or x not in kinks):
-            kinks[x] = (c, i, "OU" if role == OVER else "UO")
-    return kinks
-
-
-def _apply_r1_delete(
-    d: GaussDiagram, m: Move, comps: list, signs: dict, tables=None
-) -> Move:
+def _apply_r1_delete(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
     x = m["x"]
     _check_crossing(d, x)
-    kinks = tables.kinks() if tables else _r1_kinks(_sites(d))
-    kink = kinks.get(x)
+    kink = (tables or _SiteTables(d)).kinks().get(x)
     if kink is None:
         raise MoveError(f"endpoints of crossing {x} are not adjacent; not an r1 kink")
     c, i, order = kink
@@ -339,7 +329,7 @@ def _apply_r1_delete(
     return Move.of("r1_insert", c=c, pos=pos, sign=signs.pop(x), order=order)
 
 
-def _apply_r1_insert(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
+def _apply_r1_insert(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
     c = _check_comp(d, m["c"])
     pos = _check_arc(c, m["pos"], d.arc_count(c))
     sign = m["sign"]
@@ -357,17 +347,6 @@ def _apply_r1_insert(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move
 # -- R2 ------------------------------------------------------------------
 
 
-def _r2_pairs(sites: list) -> tuple[dict, dict]:
-    """(over, under): each maps (first id, second id) -> (comp, pos) for
-    the `sites` whose endpoints are both over, respectively both under."""
-    over: dict[tuple[int, int], tuple[int, int]] = {}
-    under: dict[tuple[int, int], tuple[int, int]] = {}
-    for c, i, _, (x, rx), (y, ry) in sites:
-        if rx == ry:
-            (over if rx == OVER else under)[(x, y)] = (c, i)
-    return over, under
-
-
 def _ordered_pair(pairs: dict, a: int, b: int):
     """(comp, first pos, first id) of the site on {a, b}, trying (a, b)
     before (b, a); None if neither is a site."""
@@ -378,9 +357,7 @@ def _ordered_pair(pairs: dict, a: int, b: int):
     return None
 
 
-def _apply_r2_delete(
-    d: GaussDiagram, m: Move, comps: list, signs: dict, tables=None
-) -> Move:
+def _apply_r2_delete(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
     a, b = m["a"], m["b"]
     if a == b:
         raise MoveError("r2_delete needs two distinct crossings")
@@ -388,7 +365,7 @@ def _apply_r2_delete(
         _check_crossing(d, x)
     if d.sign_of(a) != -d.sign_of(b):
         raise MoveError(f"crossings {a},{b} do not have opposite signs")
-    over_pairs, under_pairs = tables.pairs() if tables else _r2_pairs(_sites(d))
+    over_pairs, under_pairs = (tables or _SiteTables(d)).pairs()
     over = _ordered_pair(over_pairs, a, b)
     under = _ordered_pair(under_pairs, a, b)
     if over is None or under is None:
@@ -429,7 +406,7 @@ def _apply_r2_delete(
     return Move.of("r2_insert", c1=oc, p=p, c2=uc, q=q, sign=sign, order=order)
 
 
-def _apply_r2_insert(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
+def _apply_r2_insert(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
     c1 = _check_comp(d, m["c1"])
     p = _check_arc(c1, m["p"], d.arc_count(c1))
     sign = m["sign"]
@@ -460,11 +437,9 @@ def _apply_r2_insert(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move
 # -- R3 ------------------------------------------------------------------
 
 
-def _r3_triangles(
-    d: GaussDiagram, sites: list, ids: tuple[int, int, int] | None = None
-) -> list:
-    """Legal r3 triangles of `d` among its `sites`, as (sorted crossing
-    ids, triple of sites), the triples in site order.
+def _r3_triangles(d: GaussDiagram, sites: list) -> dict[tuple[int, int, int], tuple]:
+    """Legal r3 triangles of `d` among its `sites`: sorted crossing ids
+    -> the first triple of sites on them, in site order.
 
     A triangle is a both-over site A, a mixed site B and a both-under
     site C, position-disjoint and covering three distinct crossings twice
@@ -473,10 +448,7 @@ def _r3_triangles(
     (_r3_legal): only such triangles bound an embedded disk a strand can
     slide across.  Swapping an incompatible triangle is a forbidden move
     and changes the underlying knot, so those triples are never offered.
-    With `ids`, only the triangles on exactly those three crossings.
     """
-    if ids is not None:
-        sites = [s for s in sites if s[3][0] in ids and s[4][0] in ids]
     unders: dict[int, list[int]] = {}
     mixed: dict[frozenset, list[int]] = {}
     for n, (_, _, _, (x, rx), (y, ry)) in enumerate(sites):
@@ -501,8 +473,10 @@ def _r3_triangles(
                     if _sites_disjoint((a, b, c)) and _r3_legal(d, a, b, c):
                         key = tuple(sorted((n, t, u)))
                         found.append((key, tuple(sorted((x, y, r)))))
-    found.sort()
-    return [(tri, tuple(sites[k] for k in key)) for key, tri in found]
+    triangles = {}
+    for key, tri in sorted(found):
+        triangles.setdefault(tri, tuple(sites[k] for k in key))
+    return triangles
 
 
 def _sites_disjoint(triple) -> bool:
@@ -541,19 +515,13 @@ def _r3_legal(d: GaussDiagram, a, b, c) -> bool:
     )
 
 
-def _apply_r3(
-    d: GaussDiagram, m: Move, comps: list, signs: dict, tables=None
-) -> Move:
+def _apply_r3(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
     ids = (m["a"], m["b"], m["c"])
     if len(set(ids)) != 3:
         raise MoveError("r3 needs three distinct crossings")
     for x in ids:
         _check_crossing(d, x)
-    if tables is None:
-        found = _r3_triangles(d, _sites(d), ids)
-        triple = found[0][1] if found else None
-    else:
-        triple = tables.triangles().get(tuple(sorted(ids)))
+    triple = (tables or _SiteTables(d)).triangles().get(tuple(sorted(ids)))
     if triple is None:
         raise MoveError(f"crossings {ids} do not form an r3 triangle")
     for c, i, j, _, _ in triple:
@@ -564,7 +532,7 @@ def _apply_r3(
 # -- cobordism moves -----------------------------------------------------
 
 
-def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
+def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
     c1 = _check_comp(d, m["c1"])
     c2 = _check_comp(d, m["c2"])
     p = _check_arc(c1, m["p"], d.arc_count(c1))
@@ -622,12 +590,12 @@ def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
     return inv
 
 
-def _apply_birth(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
+def _apply_birth(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
     comps.append([])
     return Move.of("death", c=len(comps) - 1)
 
 
-def _apply_death(d: GaussDiagram, m: Move, comps: list, signs: dict) -> Move:
+def _apply_death(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
     c = _check_comp(d, m["c"])
     if not d.cyclic(c):
         raise MoveError("cannot kill the open strand")
@@ -661,16 +629,16 @@ def enumerate_moves(
 
     The order is: r1/r2 deletions, r3, insertions, cobordism moves, so a
     consumer that expands in list order is biased toward simplification.
-    The r1-, r2- and r3 moves are read off the site tables of `d`, which
-    a caller that applies them hands in as `tables` to reuse.
+    The r1-, r2- and r3 moves are read off the site tables of `d`; a
+    caller that applies them hands the same `tables` to `_apply_core`, so
+    their appliers read them there too.
     """
     kinds = set(kinds)
     unknown = kinds - ALL_KINDS
     if unknown:
         raise MoveError(f"unknown move kinds {sorted(unknown)}")
     out: list[Move] = []
-    if tables is None:
-        tables = _SiteTables(d)
+    tables = tables or _SiteTables(d)
     if "r1_delete" in kinds:
         out.extend(Move.of("r1_delete", x=x) for x in sorted(tables.kinks()))
     if "r2_delete" in kinds:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import vknots.cli
 from vknots import SearchBudget
 from vknots.cli import _budget, build_parser
 
@@ -158,6 +159,16 @@ class TestSearch:
         errors = [ln for ln in r.stderr.splitlines() if ln.startswith("vknots: error: ")]
         assert errors == ["vknots: error: unrecognized arguments: --workers 2"]
         assert "Traceback" not in r.stderr
+
+    def test_interrupt_exit_130(self, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(vknots.cli, "search_slice", interrupted)
+        assert vknots.cli.main(["search-slice", TREFOIL]) == 130
+        err = capsys.readouterr().err
+        assert err == "vknots: interrupted\n"
+        assert "Traceback" not in err
 
     def test_budget_flag_defaults_are_search_budget_defaults(self):
         args = build_parser().parse_args(["search-equiv", "O1+U1+", "()"])

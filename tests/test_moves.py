@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import vknots.moves
 from vknots import (
     Move,
     MoveError,
@@ -20,7 +21,6 @@ from vknots import (
     render_move,
 )
 from vknots.certificates import advance_classes, initial_classes
-from vknots.moves import _apply_core, _SiteTables
 
 from .conftest import CORPUS, KISHINO, TREFOIL, random_diagram, random_walk
 from .oracles import index_polynomial_oracle, odd_writhe_oracle
@@ -117,6 +117,9 @@ class TestApply:
             # a bare strand does not wrap round
             ("L:", "r2+ c1=0 p=0 c2=0 q=1 sign=+ order=OU", "splits the over pair"),
             ("O1+U1+", "r3 a=1 b=1 c=2", "three distinct"),
+            # the right over/under profile, but signs no planar placement
+            # realizes
+            ("O1+O2-U2-U3+O4+U1+O3+U4+", "r3 a=1 b=2 c=4", "do not form an r3 triangle"),
             ("L:O1+U1+", "death c=0", "open strand"),
             ("O1+U1+", None, "unknown move kinds"),  # enumerating kind r4
         ],
@@ -336,20 +339,30 @@ class TestInverses:
 
 
 class TestSiteTables:
-    def test_appliers_given_the_tables_match_the_full_lookup(self, rng):
-        # The searches hand each applier the site tables that listed its
-        # move; a move from text looks its pattern up itself.  Both give
-        # the same result and inverse.
-        diagrams = [parse_gauss(text) for text in CORPUS]
-        diagrams += [random_diagram(rng, max_crossings=5) for _ in range(60)]
-        applied = Counter()
-        for d in diagrams:
-            tables = _SiteTables(d)
-            for m in enumerate_moves(d, kinds={"r1_delete", "r2_delete", "r3"},
-                                     tables=tables):
-                assert _apply_core(d, m, tables) == _apply_core(d, m)
-                applied[m.kind] += 1
-        assert set(applied) == {"r1_delete", "r2_delete", "r3"}
+    SITE_KINDS = {"r1_delete", "r2_delete", "r3"}
+
+    def test_text_moves_list_sites_only_when_they_need_them(self, monkeypatch):
+        # A move parsed from text has no tables to reuse: an r1-, r2- or
+        # r3 applier builds them once, and no other applier builds any.
+        # No CORPUS diagram has an r3 triangle; the braid closure does.
+        built = 0
+        sites = vknots.moves._sites
+
+        def counted(d):
+            nonlocal built
+            built += 1
+            return sites(d)
+
+        monkeypatch.setattr(vknots.moves, "_sites", counted)
+        applied = set()
+        for d in map(parse_gauss, [*CORPUS, TestApply.BRAID_CLOSURE]):
+            for line in map(render_move, enumerate_moves(d)):
+                m = parse_move(line)
+                built = 0
+                apply_move(d, m)
+                assert built == (1 if m.kind in self.SITE_KINDS else 0), line
+                applied.add(m.kind)
+        assert applied == ALL
 
 
 class TestPinnedOutputs:

@@ -547,8 +547,8 @@ class TestChildKeying:
     def test_child_endpoints_are_checked(self, monkeypatch):
         kink = vknots.moves._HANDLERS["r1_insert"]
 
-        def drop_endpoint(d, m, comps, signs):
-            inv = kink(d, m, comps, signs)
+        def drop_endpoint(d, m, comps, signs, tables):
+            inv = kink(d, m, comps, signs, tables)
             comps[m["c"]].pop()
             return inv
 
