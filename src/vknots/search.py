@@ -64,19 +64,22 @@ keying, surface labels and cobordism counters of children, the parent
 pointers, dedup and the rebuilding of a found chain, and leaves each
 search its dedup identity and goal test.
 
-`reduce_diagram` expands a popped state one size class at a time
-(partial expansion): first the moves that do not grow it (r1 and r2
-deletions, r3), then the r1 insertions, then the r2 insertions.  After
-each class the state goes back into the frontier at the size of the
-next class's children, so insertions are applied and keyed only when
-the frontier reaches their size.  That saves most of the keying in a
-run that stops early at rank (0, 0), as an unknot's does; a knot's run
-ends only when its caps are exhausted, keying the same children as
-whole expansion, or when max_nodes is spent.  Every pop, re-pops
-included, counts as a node, so max_nodes still bounds the work and the
-frontier.  `search_slice` and `search_equivalent` expand a state
-whole: the bench and the tests pin their (status, nodes, dedup)
-counters, which a different expansion order would change.
+Both R-move searches, `search_equivalent` and `reduce_diagram`, expand
+a popped state one size class at a time (partial expansion, Yoshizumi,
+Miura and Ishida, AAAI 2000): first the moves that do not grow it (r1
+and r2 deletions, r3), then the r1 insertions, then the r2 insertions.
+Between classes `_BestFirst.states` queues the state again, with its
+own parent seq and move index, at the size of the next class's
+children, so insertions are keyed only when the frontier reaches their
+size.  A run that stops early keys few children: the equivalence
+searches of the 100 bench unknots key 644 where whole expansion keyed
+10,272.  A run that ends exhausted keys the same children and pays for
+the re-pops, since every pop counts as a node, so max_nodes still
+bounds the work and the frontier.  Equivalence certificates are no
+longer shortest: 251 steps in all for the bench unknots, where whole
+expansion found a shortest path for each, 233.  `search_slice` expands
+a state whole, and its heap entries carry no class: by class, its
+budget-hit trefoil probes would run several times as long.
 """
 
 from __future__ import annotations
@@ -161,8 +164,8 @@ def _spend(spent: tuple[int, int, int], kind: str) -> tuple[int, int, int]:
 
 # The size classes of R-moves, each with the growth in crossings of its
 # children, in the order `enumerate_moves` lists them.  Every search
-# expands a class while its children fit the crossing cap; a reduction
-# expands a popped state one class at a time.
+# expands a class while its children fit the crossing cap; the R-move
+# searches expand a popped state one class at a time.
 _SIZE_CLASSES = (
     (frozenset({"r1_delete", "r2_delete", "r3"}), 0),
     (frozenset({"r1_insert"}), 1),
@@ -177,18 +180,23 @@ class _BestFirst:
     (priority, seq, depth, key, parent, index, *payload) popped in
     (priority, seq) order: the state's canonical key, the seq of the
     popped state that made it and the move's index in that state's
-    enumeration (both None for a root or a state re-queued whole), then
-    the search's own payload.  Root `side` is keyed, admitted and pushed
-    at depth 0 with the search's root `payload` as seq `side`.  `states`
-    pops one state from each nonempty frontier in turn, writes its
-    parent record (parent, index, key) if it is expanded, and parses its
-    key; `children` prunes a popped state's moves before applying them
-    and hands on each finished child: its key, size, cobordism counters
-    and surface labels; `admit` deduplicates; `push` queues a child,
-    writing nothing but its heap entry; `chain` follows the records and
-    `line` rebuilds them.  A search supplies only its dedup identity and
-    its goal test.  The caps on crossings and components are the
-    budget's, raised to fit the roots.
+    enumeration (both None for a root, and in a reduction, which keeps
+    no parent pointers), then the search's own payload.  Root `side` is
+    keyed, admitted and pushed at depth 0 with the search's root
+    `payload` as seq `side`.  `states` pops one state from each nonempty
+    frontier in turn, writes its parent record (parent, index, key) if
+    it is expanded, and parses its key.  With `by_class`, the payload
+    starts with the index into `_SIZE_CLASSES` of the class the entry
+    expands, 0 when a search pushes it; once the search is done with
+    the popped state, `states` queues it again for the next class that
+    fits the crossing cap, with the state's own depth, key, parent and
+    index.  `children` prunes a popped state's moves before applying
+    them and hands on each finished child: its key, size, cobordism
+    counters and surface labels; `admit` deduplicates; `push` queues a
+    child, writing nothing but its heap entry; `chain` follows the
+    records and `line` rebuilds them.  A search supplies only its dedup
+    identity and its goal test.  The caps on crossings and components
+    are the budget's, raised to fit the roots.
 
     Each frontier keeps identity -> minimal (s, b, d, depth) vectors: the
     vector itself, bare, while it is the only one, and a tuple of
@@ -201,13 +209,14 @@ class _BestFirst:
 
     def __init__(
         self, budget: SearchBudget, roots: tuple[GaussDiagram, ...],
-        cobordism: bool = False, payload: tuple = (),
+        cobordism: bool = False, payload: tuple = (), by_class: bool = False,
     ):
         self.t0 = time.perf_counter()
         self.budget = budget
         self.cap_n = max(budget.max_crossings, *(r.n_crossings for r in roots))
         self.cap_c = max(budget.max_components, *(r.n_components for r in roots))
         self.cobordism = cobordism
+        self.by_class = by_class
         self.frontiers: list[list[tuple]] = [[] for _ in roots]
         self.parents: dict[int, tuple[int, int, str]] = {}  # popped seq -> record
         self.seq = 0
@@ -307,7 +316,19 @@ class _BestFirst:
                 if entry[2] < budget.max_depth:
                     if entry[4] is not None:
                         self.parents[entry[1]] = (entry[4], entry[5], entry[3])
-                    yield side, entry, parse_gauss(entry[3])
+                    diag = parse_gauss(entry[3])
+                    yield side, entry, diag
+                    # The caller is done with this class's children: the
+                    # next class waits at the size of its children.
+                    if self.by_class and entry[6] + 1 < len(_SIZE_CLASSES):
+                        cls = entry[6] + 1
+                        growth = _SIZE_CLASSES[cls][1]
+                        if diag.n_crossings + growth <= self.cap_n:
+                            size = diag.n_crossings + diag.n_components + growth
+                            self.push(
+                                side, size, entry[2], entry[3], cls, *entry[7:],
+                                parent=entry[4:6],
+                            )
 
     def kinds(
         self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0)
@@ -453,6 +474,11 @@ def search_equivalent(
     depth), so an "exhausted" run has expanded from each end every state
     under the caps closer to it than max_depth.  The halves meet when
     one side admits a key the other side has admitted.
+
+    As in `reduce_diagram`, a popped state is expanded one size class of
+    `_SIZE_CLASSES` at a time, each re-pop a node of `max_nodes`, so a
+    run that meets early never builds most insertions, and its
+    certificate need not be a shortest one.
     """
     if a.long != b.long:
         raise DiagramError("cannot relate a long and a round diagram")
@@ -461,7 +487,8 @@ def search_equivalent(
             f"cannot relate diagrams with {a.n_components} and "
             f"{b.n_components} components by R-moves"
         )
-    run = _BestFirst(budget, (a, b))
+    # payload: the index into _SIZE_CLASSES of the class this pop expands
+    run = _BestFirst(budget, (a, b), payload=(0,), by_class=True)
     if run.root_keys[0] == run.root_keys[1]:
         return run.outcome(CobordismCertificate(a, (), b))
 
@@ -473,8 +500,8 @@ def search_equivalent(
     def records(link, key):
         return [] if link is None else run.chain(link[0]) + [(*link, key)]
 
-    for side, (_, sq, depth, _, _, _), diag in run.states():
-        for index, key, size, *_ in run.children(diag):
+    for side, (_, sq, depth, _, _, _, cls), diag in run.states():
+        for index, key, size, *_ in run.children(diag, size_class=cls):
             if not run.admit(side, key, (0, 0, 0), depth + 1):
                 continue
             if key in made[1 - side]:
@@ -484,7 +511,7 @@ def search_equivalent(
                 cert = _splice(a, run.line(0, chain_a), run.line(1, chain_b), b)
                 return run.outcome(cert)
             made[side][key] = link = (sq, index)
-            run.push(side, size, depth + 1, key, parent=link)
+            run.push(side, size, depth + 1, key, 0, parent=link)
     return run.outcome(None)
 
 
@@ -521,12 +548,12 @@ def reduce_diagram(
     upper bound for virtual genus).
 
     A popped state is expanded one size class of `_SIZE_CLASSES` at a
-    time and then re-queued at the size of the next class's children,
-    while the crossing cap lets that class fit; each re-pop counts as a
-    node of `max_nodes`.  A run that is not cut short still admits the
-    whole R-move closure under the caps, keying the same children as
-    whole expansion; one that stops early at rank (0, 0) never builds
-    the insertions of most states it popped.
+    time, and the engine queues it again at the size of the next class's
+    children while the crossing cap lets that class fit; each re-pop
+    counts as a node of `max_nodes`.  A run that is not cut short still
+    admits the whole R-move closure under the caps, keying the same
+    children as whole expansion; one that stops early at rank (0, 0)
+    never builds the insertions of most states it popped.
     """
     if d.long:
         raise DiagramError("reduce_diagram needs a round diagram")
@@ -537,9 +564,9 @@ def reduce_diagram(
     min_genus = best_rank[1]
 
     # payload: the index into _SIZE_CLASSES of the class this pop expands
-    run = _BestFirst(budget, (d,), payload=(0,))
+    run = _BestFirst(budget, (d,), payload=(0,), by_class=True)
     # No early stop: the best diagram seen improves until the last node.
-    for _, (_, _, depth, state, _, _, cls), diag in run.states(stop_when_overfull=False):
+    for _, (_, _, depth, _, _, _, cls), diag in run.states(stop_when_overfull=False):
         for _, key, size, _, _, comps, signs in run.children(diag, size_class=cls):
             if not run.admit(0, key, (0, 0, 0), depth + 1):
                 continue
@@ -553,10 +580,4 @@ def reduce_diagram(
                     if best_rank == (0, 0):  # nothing smaller exists
                         return best, min_genus
             run.push(0, size, depth + 1, key, 0)
-        # The next class waits in the frontier at the size of its children.
-        if cls + 1 < len(_SIZE_CLASSES):
-            growth = _SIZE_CLASSES[cls + 1][1]
-            if diag.n_crossings + growth <= run.cap_n:
-                size = diag.n_crossings + diag.n_components + growth
-                run.push(0, size, depth, state, cls + 1)
     return best, min_genus

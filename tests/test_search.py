@@ -1,6 +1,7 @@
 """Budgeted search: slice, equivalence, reduce."""
 
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -10,10 +11,12 @@ from vknots import (
     DiagramError,
     GaussDiagram,
     SearchBudget,
+    apply_move,
     canonical_key,
     carter_genus,
     closure,
     connected_sum,
+    enumerate_moves,
     inverse,
     parse_gauss,
     reduce_diagram,
@@ -132,17 +135,19 @@ class TestSearchEquivalent:
 
     def test_distinct_knots_exhaust_small_budget(self):
         # Two keys first admitted through a long path are admitted again
-        # when a shorter path reaches them, so each is popped twice.
+        # when a shorter path reaches them, so each is popped twice.  A
+        # state expanded by size class is popped once per class that fits
+        # the crossing cap (1,890 nodes when each was expanded whole).
         out = search_equivalent(
             parse_gauss(VIRTUAL_TREFOIL),
             parse_gauss("()"),
             SearchBudget(max_crossings=4, max_components=2, max_nodes=10_000,
                          max_depth=8),
         )
-        assert (out.status, out.nodes, out.dedup) == ("exhausted", 1890, 6858)
+        assert (out.status, out.nodes, out.dedup) == ("exhausted", 2042, 6858)
 
     @pytest.mark.parametrize(
-        "max_nodes,nodes,dedup", [(50, 2, 6), (500, 14, 160)]
+        "max_nodes,nodes,dedup", [(50, 20, 25), (500, 78, 387)]
     )
     def test_budget_hit_once_frontiers_outnumber_allowance(
         self, max_nodes, nodes, dedup
@@ -159,7 +164,7 @@ class TestSearchEquivalent:
         assert out.certificate is None
 
     def test_splice_reverses_a_multi_step_half(self):
-        # The halves meet after 4 moves from a and 3 from b, so b's half
+        # The halves meet after 3 moves from a and 4 from b, so b's half
         # is reversed through several inverses, same-component r2+
         # included, before the joined line is translated onto a.
         out = search_equivalent(
@@ -183,14 +188,17 @@ class TestSearchEquivalent:
 
     @pytest.mark.parametrize(
         "a,b,budget,steps",
-        [("O1+U1+O2-U2-", "()", SearchBudget.small(), (1, 1)),
-         ("O1+U1+O2-U3+O3+U4+U2-O4+", SIX_CROSSING_UNKNOT, UNKNOT_BUDGET, (4, 3))],
+        [("()", "O1+U1+O2-U2-", SearchBudget.small(), (1, 1)),
+         ("O1+O2-O3+O4-U4-U5-O5-U3+U1+U2-", SIX_CROSSING_UNKNOT, UNKNOT_BUDGET,
+          (3, 3))],
         ids=["kinks", "six-crossing"],
     )
     def test_halves_meet_at_a_queued_state(self, a, b, budget, steps, monkeypatch):
         # The meeting state was admitted on the other side but never
         # popped, so it has no parent record there: its chain is rebuilt
-        # from the (parent, index) of its admission.
+        # from the (parent, index) of its admission.  In "kinks" a's
+        # root has no moves of the first size class, so a's half is an
+        # r1 insertion from the root popped again for the next class.
         popped = set()
         states = vknots.search._BestFirst.states
 
@@ -215,6 +223,46 @@ class TestSearchEquivalent:
         assert canonical_key(refs_a[-1]) not in popped
         assert validate_certificate(out.certificate, "concordance").ok
         assert_ends_agree(render_certificate(out.certificate))
+
+    def test_chain_runs_through_a_state_popped_again(self, monkeypatch):
+        # a's half deletes a kink, then makes an r1 insertion in the state
+        # it reached, popped again for its r1 insertions after its moves
+        # of the first size class.  The re-queued entry carries that
+        # state's own (parent seq, move index), so the chain runs through
+        # the second pop back to a's root, and the insertion is numbered
+        # in the whole enumeration, past the first class, which `line`
+        # replays.
+        size_class = {}  # popped seq -> the size class that pop expanded
+        states = vknots.search._BestFirst.states
+
+        def spy(run, *args, **kw):
+            for side, entry, diag in states(run, *args, **kw):
+                size_class[entry[1]] = entry[6]
+                yield side, entry, diag
+
+        lines = {}
+        line = vknots.search._BestFirst.line
+
+        def spy_line(run, side, chain):
+            refs, steps = line(run, side, chain)
+            lines[side] = (chain, refs, steps)
+            return refs, steps
+
+        monkeypatch.setattr(vknots.search._BestFirst, "states", spy)
+        monkeypatch.setattr(vknots.search._BestFirst, "line", spy_line)
+        out = search_equivalent(
+            parse_gauss("L:O1+U2-O2-O3+O4+U3+U4+U1+"),
+            parse_gauss("L:O1+O2+O3+U4+U5-O5-O6-U6-O4+U2+U3+O7+U7+U1+"),
+            SearchBudget.small(),
+        )
+        assert _counters(out) == ("found", 7, 2)
+        chain, refs, steps = lines[0]
+        assert [size_class[parent] for parent, _, _ in chain] == [0, 1]
+        assert [m.kind for m in steps] == ["r1_delete", "r1_insert"]
+        first_class = vknots.search._SIZE_CLASSES[0][0]
+        assert chain[1][1] >= len(list(enumerate_moves(refs[1], kinds=first_class))) > 0
+        assert canonical_key(apply_move(refs[1], steps[1])) == chain[1][2]
+        assert validate_certificate(out.certificate, "concordance").ok
 
     def test_long_round_mismatch(self):
         with pytest.raises(DiagramError):
@@ -410,13 +458,16 @@ class TestReduceAudit:
 
 class TestEquivalenceAudit:
     """An "exhausted" `search_equivalent` expanded, from a's side, every
-    state closer to a than the depth cap, at its least distance.
+    state closer to a than the depth cap, at its least distance, and
+    admitted there exactly the keys no farther from a than the cap.
 
     The distances come from a plain breadth-first walk, so this guards
-    the search's dedup under a binding depth cap: a key first admitted
-    through a long path must be admitted again when a shorter path
-    reaches it.  Keying and move enumeration are shared with the
-    search, so a fault in those is not caught here."""
+    the search's dedup under a binding depth cap, where a key first
+    admitted through a long path must be admitted again when a shorter
+    path reaches it, and its expansion one size class at a time, which
+    must still reach every child of a state.  Keying and move
+    enumeration are shared with the search, so a fault in those is not
+    caught here."""
 
     @pytest.mark.parametrize(
         "code,cap,reached", [(VIRTUAL_TREFOIL, 4, 309), (TREFOIL, 5, 202)],
@@ -434,7 +485,17 @@ class TestEquivalenceAudit:
                     popped[entry[3]] = min(entry[2], popped.get(entry[3], entry[2]))
                 yield side, entry, diag
 
+        admitted = set()  # keys admitted on a's side
+        admit = vknots.search._BestFirst.admit
+
+        def spy_admit(run, side, ident, *args):
+            new = admit(run, side, ident, *args)
+            if new and side == 0:
+                admitted.add(ident)
+            return new
+
         monkeypatch.setattr(vknots.search._BestFirst, "states", spy)
+        monkeypatch.setattr(vknots.search._BestFirst, "admit", spy_admit)
         a = parse_gauss(code)
         budget = SearchBudget(
             max_crossings=cap, max_components=1, max_nodes=10**6, max_depth=3
@@ -447,6 +508,9 @@ class TestEquivalenceAudit:
             if popped.get(key) != depth
         }
         assert not missed, f"{len(missed)} not expanded at their distance: {missed}"
+        # side a admits the children of its states at depth max_depth - 1
+        deeper = replace(budget, max_depth=budget.max_depth + 1)
+        assert admitted == set(reference_distances(a, deeper))
 
 
 class TestChildKeying:
@@ -459,7 +523,7 @@ class TestChildKeying:
             # 330 when every admitted child was built
             (lambda: _counters(search_equivalent(
                 parse_gauss(SIX_CROSSING_UNKNOT), parse_gauss("()"), UNKNOT_BUDGET
-            )), ("found", 4, 16), 40),
+            )), ("found", 5, 2), 40),
             # 360 when every admitted child was built
             (lambda: reduce_diagram(parse_gauss(SIX_CROSSING_UNKNOT), UNKNOT_BUDGET),
              (parse_gauss("()"), 0), 40),
@@ -525,6 +589,41 @@ class TestChildKeying:
             for i, key, *_ in run.children(d, size_class=cls)
         )
         assert by_class == whole
+
+    @pytest.mark.parametrize(
+        "search",
+        [lambda: reduce_diagram(
+            parse_gauss(TREFOIL),
+            SearchBudget(max_crossings=5, max_components=1, max_nodes=10**7,
+                         max_depth=10**7)),
+         lambda: search_equivalent(
+            parse_gauss(VIRTUAL_TREFOIL), parse_gauss("()"),
+            SearchBudget(max_crossings=4, max_components=2, max_nodes=10_000,
+                         max_depth=8))],
+        ids=["reduce", "equivalent"],
+    )
+    def test_state_popped_once_per_size_class(self, search, monkeypatch):
+        # The engine queues a popped state again for each next size class
+        # that fits the crossing cap, at the size of that class's
+        # children, so its insertions wait until the frontier reaches
+        # them.  Neither run stops early, so every admitted state below
+        # the depth cap is popped for each class that fits.
+        pops: dict[tuple, list] = {}  # (side, key, depth) -> classes popped
+        states = vknots.search._BestFirst.states
+        classes = vknots.search._SIZE_CLASSES
+
+        def spy(run, *args, **kw):
+            for side, entry, diag in states(run, *args, **kw):
+                size, _, depth, key, _, _, cls = entry
+                assert size == diag.n_crossings + diag.n_components + classes[cls][1]
+                fits = [c for c, (_, g) in enumerate(classes)
+                        if diag.n_crossings + g <= run.cap_n]
+                pops.setdefault((side, key, depth), fits).remove(cls)
+                yield side, entry, diag
+
+        monkeypatch.setattr(vknots.search._BestFirst, "states", spy)
+        search()
+        assert pops and not any(pops.values())
 
     def test_site_tables_built_once_per_expansion(self, monkeypatch):
         # The r1-, r2- and r3 children of a popped diagram read the site
@@ -652,7 +751,7 @@ class TestGoldenCertificates:
                 parse_gauss("O1+U1+O2-U2-"), parse_gauss("()"),
                 SearchBudget.small(),
             ),
-            (2, 6),
+            (3, 0),
             "start: O1+U1+O2-U2-\n"
             "r1- x=2\n"
             "r1- x=1\n"
