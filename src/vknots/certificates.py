@@ -21,8 +21,11 @@ closure: closing the strand reuses the same moves with strand gap i
 becoming closed arc i-1, while the reverse direction first splits the
 closure off the strand with one saddle, replays the round certificate on
 that component (component indices shifted past the empty strand), and
-caps the resulting circle with a death.  Both, and the searches when they
-rebuild a found path on their input diagram, carry every step exactly:
+caps the resulting circle with a death.  Each replays its input once:
+the replay that validates it keeps its diagrams, and they are the
+reference line the steps are carried along.  Both transports, and the
+searches when they rebuild a found path on their input diagram, carry
+every step exactly:
 the step is lifted onto the image of its reference diagram and pulled
 back onto the current diagram through the two normalizing isos of
 `canonicalize`, which meet in one normal form.  A step that then misses
@@ -176,6 +179,15 @@ def advance_classes(
 
 
 def validate_certificate(c: CobordismCertificate, claim: str) -> ValidationReport:
+    """Replay `c`, holding one diagram at a time, and check `claim`."""
+    return _validate(c, claim, None)
+
+
+def _validate(
+    c: CobordismCertificate, claim: str, line: list[GaussDiagram] | None
+) -> ValidationReport:
+    """`validate_certificate`; with `line`, each diagram the replay
+    reaches is appended to it."""
     if claim not in CLAIMS:
         raise CertificateError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     s, b, d = c.counters()
@@ -194,6 +206,8 @@ def validate_certificate(c: CobordismCertificate, claim: str) -> ValidationRepor
         classes, closed = advance_classes(classes, m, current)
         closures += closed
         current = nxt
+        if line is not None:
+            line.append(nxt)
     if canonical_key(current) != canonical_key(c.end):
         return bad(
             f"replay ends at {render_gauss(current)}, "
@@ -237,11 +251,9 @@ def transport_long_to_closure(c: CobordismCertificate) -> CobordismCertificate:
     """
     if not c.start.long or not c.end.long:
         raise CertificateError("transport_long_to_closure needs a long certificate")
-    report = validate_certificate(c, "concordance")
-    if not report.ok:
-        raise CertificateError(f"input certificate invalid: {report.failure}")
+    refs = _concordance_line(c)
     act_start = closure(c.start)
-    steps = _translate_steps(replay(c), c.steps, act_start, closure, _close_move)
+    steps = _translate_steps(refs, c.steps, act_start, closure, _close_move)
     return CobordismCertificate(act_start, tuple(steps), closure(c.end))
 
 
@@ -257,9 +269,7 @@ def transport_closure_to_long(
     """
     if not k.long:
         raise CertificateError("transport_closure_to_long needs a long diagram")
-    report = validate_certificate(c, "concordance")
-    if not report.ok:
-        raise CertificateError(f"input certificate invalid: {report.failure}")
+    refs = _concordance_line(c)
     if canonical_key(c.start) != canonical_key(closure(k)):
         raise CertificateError("certificate does not start at the closure of k")
     if canonical_key(c.end) != canonical_key(parse_gauss("()")):
@@ -270,7 +280,7 @@ def transport_closure_to_long(
     # circle: the round certificate's diagrams behind an empty strand.
     act_start = apply_move(k, split)
     steps = _translate_steps(
-        replay(c), c.steps, act_start, _behind_empty_strand, _shift_components
+        refs, c.steps, act_start, _behind_empty_strand, _shift_components
     )
     # After the round certificate the unknot circle remains next to the
     # empty strand; cap it.
@@ -278,6 +288,16 @@ def transport_closure_to_long(
     return CobordismCertificate(
         k, (split,) + tuple(steps) + (Move.of("death", c=1),), end
     )
+
+
+def _concordance_line(c: CobordismCertificate) -> list[GaussDiagram]:
+    """The replay line of `c`, start included, which the one replay
+    that validates `c` as a concordance keeps."""
+    line = [c.start]
+    report = _validate(c, "concordance", line)
+    if not report.ok:
+        raise CertificateError(f"input certificate invalid: {report.failure}")
+    return line
 
 
 def _behind_empty_strand(ref: GaussDiagram) -> GaussDiagram:

@@ -14,10 +14,10 @@ Move kinds:
 
 Enumeration and application share one site finder per kind: `_sites`
 lists every pair of adjacent endpoints, and the r1 kinks, r2 pairs and
-r3 triangles that `enumerate_moves` offers are the ones the appliers
+r3 triangles that the enumeration offers are the ones the appliers
 accept, found by the same readers of that list.  `_SiteTables` holds
 the list and what each reader found in it for one diagram, and every
-r1-, r2- and r3 applier reads its pattern there.  `enumerate_moves`
+r1-, r2- and r3 applier reads its pattern there.  The enumeration
 fills the tables, and a caller that applies the moves it listed hands
 them to `_apply_core`, so the appliers do not find the pattern again;
 a move from anywhere else, such as certificate text, has its tables
@@ -37,17 +37,24 @@ first and the under-arc index q refers to the diagram with the over pair
 already present (this only matters when both pairs land on one
 component).
 
-All moves are applied functionally: the input diagram is unchanged and
-each application also yields the exact inverse move, so that certificate
-paths can be reversed step by step.  The applier core, `_apply_core`,
-copies the endpoint lists and the sign table once and hands both to the
-kind's handler, which checks the move against the input diagram, edits
-the copies in place and returns only the inverse; the core returns the
-edited lists, the table and the inverse.  `apply_move_with_inverse` is
-the wrapper that builds the result from them, with its invariant check,
-in that one place (`_build`).  The searches call the core directly: they
-check and key a child from its lists, keep it as its key and build a
-diagram only for a reduction candidate, whose Carter genus needs one.
+All moves are applied functionally: the input diagram is unchanged, and
+`apply_move_with_inverse` also returns the exact inverse move, so that
+certificate paths can be reversed step by step.  The applier core,
+`_apply_core`, copies the endpoint lists and the sign table once and
+hands both to the kind's handler, which checks the move against the
+input diagram, edits the copies in place and returns the inverse's kind
+and parameters, unbuilt; the core returns the edited lists, the table
+and that pair.  `apply_move` and `apply_move_with_inverse` build the
+result from them, with its invariant check, in one place (`_build`),
+and only `apply_move_with_inverse` builds the inverse into a `Move`.
+The searches call the core directly: they check and key a child from
+its lists, keep it as its key and build a diagram only for a reduction
+candidate, whose Carter genus needs one.
+
+Moves are listed by one generator, `_iter_moves`, which builds each
+move as it is drawn; `enumerate_moves` is its list.  A caller that
+wants only the move at an index (a search rebuilding a found chain from
+the enumeration indices it recorded) draws up to that index and stops.
 """
 
 from __future__ import annotations
@@ -196,25 +203,31 @@ def relabel_move(m: Move, ids=None, comp=None, arc=None) -> Move:
 
 # -- application ---------------------------------------------------------
 
+# The inverse of an applied move as its kind and parameters, which only
+# `apply_move_with_inverse` builds into a `Move`.
+_Inverse = tuple[str, dict]
+
 
 def apply_move(d: GaussDiagram, m: Move) -> GaussDiagram:
     """Apply a move; raises MoveError if the pattern does not match."""
-    return apply_move_with_inverse(d, m)[0]
+    comps, signs, _ = _apply_core(d, m)
+    return _build(comps, signs, d.long)
 
 
 def apply_move_with_inverse(d: GaussDiagram, m: Move) -> tuple[GaussDiagram, Move]:
     """Apply a move and return (result, exact inverse move on the result)."""
-    comps, signs, inv = _apply_core(d, m)
-    return _build(comps, signs, d.long), inv
+    comps, signs, (kind, params) = _apply_core(d, m)
+    return _build(comps, signs, d.long), Move.of(kind, **params)
 
 
 def _apply_core(
     d: GaussDiagram, m: Move, tables: _SiteTables | None = None
-) -> tuple[list[list[Endpoint]], dict[int, int], Move]:
+) -> tuple[list[list[Endpoint]], dict[int, int], _Inverse]:
     """The result's endpoint lists and sign table, not yet checked, and
-    the exact inverse move on the result.  `tables` are the site tables
-    of `d` that `enumerate_moves` filled; without them an r1-, r2- or r3
-    handler builds its own from `d`."""
+    the kind and parameters of the exact inverse move on the result, not
+    built into a `Move`.  `tables` are the site tables of `d` that the
+    move's enumeration filled; without them an r1-, r2- or r3 handler
+    builds its own from `d`."""
     comps = [list(c) for c in d.components]
     signs = dict(d._sign_map)
     return comps, signs, _HANDLERS[m.kind](d, m, comps, signs, tables)
@@ -267,9 +280,9 @@ def _sites(d: GaussDiagram) -> list[tuple[int, int, int, Endpoint, Endpoint]]:
 class _SiteTables:
     """The sites of one diagram and the r1 kinks, r2 pairs and r3
     triangles read off them, each built on first use.  Every r1-, r2-
-    and r3 applier reads its pattern here, from the tables that
-    `enumerate_moves` filled when it listed the move, or else from
-    tables built for the one application."""
+    and r3 applier reads its pattern here, from the tables that the
+    enumeration filled when it listed the move, or else from tables
+    built for the one application."""
 
     __slots__ = ("d", "sites", "_kinks", "_pairs", "_triangles")
 
@@ -314,7 +327,7 @@ def _check_crossing(d: GaussDiagram, x) -> None:
 # -- R1 ------------------------------------------------------------------
 
 
-def _apply_r1_delete(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
+def _apply_r1_delete(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> _Inverse:
     x = m["x"]
     _check_crossing(d, x)
     kink = (tables or _SiteTables(d)).kinks().get(x)
@@ -326,10 +339,10 @@ def _apply_r1_delete(d: GaussDiagram, m: Move, comps: list, signs: dict, tables)
     slot = 0 if i == len(comps[c]) - 1 else i
     comps[c] = [e for e in comps[c] if e[0] != x]
     pos = arc_of_slot(len(comps[c]), d.cyclic(c), slot)
-    return Move.of("r1_insert", c=c, pos=pos, sign=signs.pop(x), order=order)
+    return "r1_insert", dict(c=c, pos=pos, sign=signs.pop(x), order=order)
 
 
-def _apply_r1_insert(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
+def _apply_r1_insert(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> _Inverse:
     c = _check_comp(d, m["c"])
     pos = _check_arc(c, m["pos"], d.arc_count(c))
     sign = m["sign"]
@@ -341,7 +354,7 @@ def _apply_r1_insert(d: GaussDiagram, m: Move, comps: list, signs: dict, tables)
     slot = slot_of_arc(len(comps[c]), d.cyclic(c), pos)
     comps[c][slot:slot] = pair
     signs[nid] = sign
-    return Move.of("r1_delete", x=nid)
+    return "r1_delete", dict(x=nid)
 
 
 # -- R2 ------------------------------------------------------------------
@@ -357,7 +370,7 @@ def _ordered_pair(pairs: dict, a: int, b: int):
     return None
 
 
-def _apply_r2_delete(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
+def _apply_r2_delete(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> _Inverse:
     a, b = m["a"], m["b"]
     if a == b:
         raise MoveError("r2_delete needs two distinct crossings")
@@ -403,10 +416,10 @@ def _apply_r2_delete(d: GaussDiagram, m: Move, comps: list, signs: dict, tables)
         p, q = arc_of_slot(kf, True, 0), arc_of_slot(kf + 2, True, upos - 2)
     else:
         p, q = (opos if opos < upos else opos - 2), upos
-    return Move.of("r2_insert", c1=oc, p=p, c2=uc, q=q, sign=sign, order=order)
+    return "r2_insert", dict(c1=oc, p=p, c2=uc, q=q, sign=sign, order=order)
 
 
-def _apply_r2_insert(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
+def _apply_r2_insert(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> _Inverse:
     c1 = _check_comp(d, m["c1"])
     p = _check_arc(c1, m["p"], d.arc_count(c1))
     sign = m["sign"]
@@ -431,7 +444,7 @@ def _apply_r2_insert(d: GaussDiagram, m: Move, comps: list, signs: dict, tables)
     if c2 == c1 and slot2 == slot + 1 and not (cyclic2 and k2 == 2):
         raise MoveError("under arc q splits the over pair; not an r2 insertion")
     comps[c2][slot2:slot2] = pair
-    return Move.of("r2_delete", a=a, b=b)
+    return "r2_delete", dict(a=a, b=b)
 
 
 # -- R3 ------------------------------------------------------------------
@@ -515,7 +528,7 @@ def _r3_legal(d: GaussDiagram, a, b, c) -> bool:
     )
 
 
-def _apply_r3(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
+def _apply_r3(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> _Inverse:
     ids = (m["a"], m["b"], m["c"])
     if len(set(ids)) != 3:
         raise MoveError("r3 needs three distinct crossings")
@@ -526,13 +539,13 @@ def _apply_r3(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Mov
         raise MoveError(f"crossings {ids} do not form an r3 triangle")
     for c, i, j, _, _ in triple:
         comps[c][i], comps[c][j] = comps[c][j], comps[c][i]
-    return m
+    return "r3", dict(m.params)
 
 
 # -- cobordism moves -----------------------------------------------------
 
 
-def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
+def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> _Inverse:
     c1 = _check_comp(d, m["c1"])
     c2 = _check_comp(d, m["c2"])
     p = _check_arc(c1, m["p"], d.arc_count(c1))
@@ -547,8 +560,7 @@ def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) ->
             piece1, piece2 = seq[:n1], seq[n1:]
             comps[c1] = piece1
             comps.append(piece2)
-            return Move.of(
-                "saddle",
+            return "saddle", dict(
                 c1=c1,
                 p=arc_of_slot(len(piece1), True, 0),
                 c2=len(comps) - 1,
@@ -560,9 +572,8 @@ def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) ->
         circle = word[lo:hi]
         comps[0] = word[:lo] + word[hi:]
         comps.append(circle)
-        return Move.of(
-            "saddle", c1=0, p=lo, c2=len(comps) - 1,
-            q=arc_of_slot(len(circle), True, 0),
+        return "saddle", dict(
+            c1=0, p=lo, c2=len(comps) - 1, q=arc_of_slot(len(circle), True, 0)
         )
 
     # Merge two distinct components.
@@ -573,7 +584,7 @@ def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) ->
         slot = p  # strand arc index is its insertion slot
         inserted = read_after(comps[c2], q)
         merged = comps[0][:slot] + inserted + comps[0][slot:]
-        inv = Move.of("saddle", c1=0, p=slot, c2=0, q=slot + len(inserted))
+        inv = dict(c1=0, p=slot, c2=0, q=slot + len(inserted))
     else:
         part1 = read_after(comps[c1], p)
         merged = part1 + read_after(comps[c2], q)
@@ -581,28 +592,28 @@ def _apply_saddle(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) ->
         km = len(merged)
         # Splitting the merged component at the arcs before each part
         # recovers the parts; if a part is empty both arcs coincide.
-        inv = Move.of(
-            "saddle", c1=merged_idx, p=arc_of_slot(km, True, len(part1)),
+        inv = dict(
+            c1=merged_idx, p=arc_of_slot(km, True, len(part1)),
             c2=merged_idx, q=arc_of_slot(km, True, 0),
         )
     comps[c1] = merged
     del comps[c2]
-    return inv
+    return "saddle", inv
 
 
-def _apply_birth(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
+def _apply_birth(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> _Inverse:
     comps.append([])
-    return Move.of("death", c=len(comps) - 1)
+    return "death", dict(c=len(comps) - 1)
 
 
-def _apply_death(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> Move:
+def _apply_death(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> _Inverse:
     c = _check_comp(d, m["c"])
     if not d.cyclic(c):
         raise MoveError("cannot kill the open strand")
     if d.components[c]:
         raise MoveError(f"component {c} has endpoints; death needs a chordless circle")
     del comps[c]
-    return Move.of("birth")
+    return "birth", {}
 
 
 _HANDLERS = {
@@ -625,47 +636,56 @@ def enumerate_moves(
     kinds: Iterable[str] = ALL_KINDS,
     tables: _SiteTables | None = None,
 ) -> list[Move]:
-    """All applicable moves of the requested kinds, deletions first.
+    """All applicable moves of the requested kinds, deletions first: the
+    list of `_iter_moves`, in its order."""
+    return list(_iter_moves(d, kinds, tables))
+
+
+def _iter_moves(
+    d: GaussDiagram,
+    kinds: Iterable[str] = ALL_KINDS,
+    tables: _SiteTables | None = None,
+) -> Iterator[Move]:
+    """Each applicable move of the requested kinds, built as it is drawn.
 
     The order is: r1/r2 deletions, r3, insertions, cobordism moves, so a
-    consumer that expands in list order is biased toward simplification.
-    The r1-, r2- and r3 moves are read off the site tables of `d`; a
-    caller that applies them hands the same `tables` to `_apply_core`, so
-    their appliers read them there too.
+    consumer that expands in order is biased toward simplification, and
+    one that wants the move at an index stops drawing there.  The r1-,
+    r2- and r3 moves are read off the site tables of `d`; a caller that
+    applies them hands the same `tables` to `_apply_core`, so their
+    appliers read them there too.
     """
     kinds = set(kinds)
     unknown = kinds - ALL_KINDS
     if unknown:
         raise MoveError(f"unknown move kinds {sorted(unknown)}")
-    out: list[Move] = []
     tables = tables or _SiteTables(d)
     if "r1_delete" in kinds:
-        out.extend(Move.of("r1_delete", x=x) for x in sorted(tables.kinks()))
+        for x in sorted(tables.kinks()):
+            yield Move.of("r1_delete", x=x)
     if "r2_delete" in kinds:
-        out.extend(_enum_r2_delete(d, tables.pairs()))
+        yield from _enum_r2_delete(d, tables.pairs())
     if "r3" in kinds:
-        out.extend(Move.of("r3", a=a, b=b, c=c) for a, b, c in tables.triangles())
+        for a, b, c in tables.triangles():
+            yield Move.of("r3", a=a, b=b, c=c)
     if "r1_insert" in kinds:
-        out.extend(_enum_r1_insert(d))
+        yield from _enum_r1_insert(d)
     if "r2_insert" in kinds:
-        out.extend(_enum_r2_insert(d))
+        yield from _enum_r2_insert(d)
     if "saddle" in kinds:
-        out.extend(_enum_saddle(d))
+        yield from _enum_saddle(d)
     if "birth" in kinds:
-        out.append(Move.of("birth"))
+        yield Move.of("birth")
     if "death" in kinds:
-        out.extend(_enum_death(d))
-    return out
+        yield from _enum_death(d)
 
 
-def _enum_r2_delete(d: GaussDiagram, pairs: tuple[dict, dict]) -> list[Move]:
+def _enum_r2_delete(d: GaussDiagram, pairs: tuple[dict, dict]) -> Iterator[Move]:
     over, under = pairs
     found = {(min(k), max(k)) for k in over if k in under or k[::-1] in under}
-    return [
-        Move.of("r2_delete", a=a, b=b)
-        for a, b in sorted(found)
-        if d.sign_of(a) == -d.sign_of(b)
-    ]
+    for a, b in sorted(found):
+        if d.sign_of(a) == -d.sign_of(b):
+            yield Move.of("r2_delete", a=a, b=b)
 
 
 def _all_arcs(d: GaussDiagram) -> list[tuple[int, int]]:

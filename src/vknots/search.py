@@ -29,14 +29,14 @@ reduction candidate no larger than the best seen, for its Carter genus.
 
 The engine keeps the parent pointers: a record (parent seq, move index,
 key) names the move that made its state by its index in the parent's
-enumeration, not by a `Move`, so a found chain is rebuilt by enumerating
-again the few diagrams on it, then translated onto the input.  A record
-is written when its state is popped for expansion, since a chain passes
-through expanded states only; a queued state is one heap entry that
-carries its parent seq and move index (sparse-memory graph search, Zhou
-and Hansen, IJCAI 2003).  Most admitted states are never popped: the
-trefoil probe at crossings <= 7 under 50,000 nodes queues 50,106
-states and pops 277.
+enumeration, not by a `Move`, so a found chain is rebuilt by listing
+again the moves of each diagram on it, only up to the recorded index,
+then translated onto the input.  A record is written when its state is
+popped for expansion, since a chain passes through expanded states
+only; a queued state is one heap entry that carries its parent seq and
+move index (sparse-memory graph search, Zhou and Hansen, IJCAI 2003).
+Most admitted states are never popped: the trefoil probe at crossings
+<= 7 under 50,000 nodes queues 50,106 states and pops 277.
 Small tuples (cobordism counters, dedup vectors, surface partitions)
 take only a handful of distinct values, and each search shares one
 tuple per value among its states.
@@ -97,6 +97,7 @@ from .moves import (
     Move,
     _apply_core,
     _build,
+    _iter_moves,
     _SiteTables,
     apply_move_with_inverse,
     enumerate_moves,
@@ -357,13 +358,14 @@ class _BestFirst:
         """The reference line (refs, steps) of a chain of parent records
         (parent, index, key) from the root of frontier `side`: the
         diagrams parsed from the keys, and the move `children` numbered
-        each index from the diagram before it, read off its enumeration
-        with the cobordism counters carried forward from (0, 0, 0)."""
+        each index from the diagram before it, drawn from its enumeration
+        with the cobordism counters carried forward from (0, 0, 0); the
+        enumeration stops at the index."""
         refs = [parse_gauss(self.root_keys[side])]
         steps: list[Move] = []
         spent = (0, 0, 0)
         for _, index, key in chain:
-            moves = enumerate_moves(refs[-1], kinds=self.kinds(refs[-1], spent))
+            moves = _iter_moves(refs[-1], self.kinds(refs[-1], spent))
             steps.append(next(itertools.islice(moves, index, None)))
             spent = _spend(spent, steps[-1].kind)
             refs.append(parse_gauss(key))

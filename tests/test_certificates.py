@@ -389,6 +389,26 @@ class TestTransports:
         assert lifted.counters() == (3, 1, 2)
         assert validate_certificate(lifted, "concordance").ok
 
+    def test_transports_replay_their_input_once(self, monkeypatch):
+        # One replay validates the input and keeps the reference line, and
+        # translating applies each step once more: two applications a step,
+        # plus the split that opens the lift to the long knot.
+        calls = 0
+        apply = vknots.certificates.apply_move
+
+        def counted(d, m):
+            nonlocal calls
+            calls += 1
+            return apply(d, m)
+
+        monkeypatch.setattr(vknots.certificates, "apply_move", counted)
+        cert = parse_certificate(EVERY_KIND_LONG)
+        closed = transport_long_to_closure(cert)
+        assert calls == 2 * len(cert.steps)
+        calls = 0
+        transport_closure_to_long(closed, cert.start)
+        assert calls == 2 * len(closed.steps) + 1
+
 
 # (image, lift) pairs: the search's own replay line, closing the strand,
 # and a round diagram placed behind an empty strand.

@@ -337,6 +337,28 @@ class TestInverses:
                 _, inv = apply_move_with_inverse(d, m)
                 assert inv.kind == pairs[m.kind]
 
+    def test_only_apply_move_with_inverse_builds_the_inverse(self, monkeypatch):
+        # The handlers return the inverse's kind and parameters; apply_move
+        # builds no `Move` from them, apply_move_with_inverse exactly one.
+        built = 0
+        check = Move.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            check(self)
+
+        codes = [*CORPUS, TestApply.BRAID_CLOSURE]
+        moves = [(d, m) for d in map(parse_gauss, codes) for m in enumerate_moves(d)]
+        assert {m.kind for _, m in moves} == ALL
+        monkeypatch.setattr(Move, "__post_init__", counted)
+        for d, m in moves:
+            built = 0
+            apply_move(d, m)
+            assert built == 0, render_move(m)
+            apply_move_with_inverse(d, m)
+            assert built == 1, render_move(m)
+
 
 class TestSiteTables:
     SITE_KINDS = {"r1_delete", "r2_delete", "r3"}

@@ -1,5 +1,6 @@
 """Budgeted search: slice, equivalence, reduce."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -8,8 +9,10 @@ import pytest
 import vknots.moves
 import vknots.search
 from vknots import (
+    CertificateError,
     DiagramError,
     GaussDiagram,
+    Move,
     SearchBudget,
     apply_move,
     canonical_key,
@@ -262,6 +265,29 @@ class TestSearchEquivalent:
         first_class = vknots.search._SIZE_CLASSES[0][0]
         assert chain[1][1] >= len(list(enumerate_moves(refs[1], kinds=first_class))) > 0
         assert canonical_key(apply_move(refs[1], steps[1])) == chain[1][2]
+        assert validate_certificate(out.certificate, "concordance").ok
+
+    @pytest.mark.xfail(
+        strict=True, raises=CertificateError,
+        reason="an r3 move names three crossings, not which of their triangles",
+    )
+    def test_r3_on_a_doubly_triangled_knot(self):
+        # The six sites of a run round its six endpoints, and two
+        # disjoint triples of them are legal triangles on crossings 1, 2,
+        # 3: over site 0, mixed site 2 and under site 4, and over site 1,
+        # mixed site 5 and under site 3.  An r3 keeps only the first, so
+        # the step pulled back onto a, named by the same ids, can slide
+        # a triangle other than the reference step's and misses its key.
+        a = parse_gauss("O1+O2-O3+U1+U2-U3+")
+        sites = vknots.moves._SiteTables(a).sites
+        for triple in ((0, 2, 4), (1, 5, 3)):
+            over, mixed, under = (sites[i] for i in triple)
+            assert vknots.moves._sites_disjoint((over, mixed, under))
+            assert vknots.moves._r3_legal(a, over, mixed, under)
+        out = search_equivalent(
+            a, parse_gauss("O1+U2+O2+O3-U3-U1+"), SearchBudget.small()
+        )
+        assert out.status == "found"
         assert validate_certificate(out.certificate, "concordance").ok
 
     def test_long_round_mismatch(self):
@@ -654,6 +680,94 @@ class TestChildKeying:
         monkeypatch.setitem(vknots.moves._HANDLERS, "r1_insert", drop_endpoint)
         with pytest.raises(DiagramError):
             search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
+
+
+class TestChainRebuild:
+    @pytest.mark.parametrize(
+        "code", [TREFOIL, KISHINO, "O1+U2-;O2-U1+;()"],
+        ids=["trefoil", "kishino", "three-component"],
+    )
+    def test_line_takes_the_listed_move(self, code, monkeypatch):
+        # For every kind set `kinds` gives (each size class that fits the
+        # crossing cap, with or without each cobordism kind), the move
+        # `line` draws at an index is the listed move at that index, and
+        # the enumeration stops there.
+        drawn = []
+        iter_moves = vknots.search._iter_moves
+
+        def spy(*args):
+            drawn.append(0)
+            for m in iter_moves(*args):
+                drawn[-1] += 1
+                yield m
+
+        monkeypatch.setattr(vknots.search, "_iter_moves", spy)
+        d = parse_gauss(code)
+        runs = {}
+        for growth in (0, 1, 2):
+            for s, b, dd in itertools.product((0, 1), repeat=3):
+                budget = SearchBudget(
+                    max_crossings=d.n_crossings + growth, max_components=4,
+                    max_saddles=s, max_births=b, max_deaths=dd,
+                )
+                run = vknots.search._BestFirst(budget, (d,), cobordism=True)
+                runs.setdefault(frozenset(run.kinds(d)), run)
+        assert len(runs) == 24
+        for kinds, run in runs.items():
+            root = parse_gauss(run.root_keys[0])
+            listed = enumerate_moves(root, kinds)
+            assert {m.kind for m in listed} <= kinds
+            for index, m in enumerate(listed):
+                drawn.clear()
+                refs, steps = run.line(0, [(0, index, run.root_keys[0])])
+                assert steps == [m]
+                assert drawn == [index + 1]
+            # The counters after a cobordism step pick the next kinds.
+            for first, m in enumerate(listed):
+                if m.kind not in ("saddle", "birth", "death"):
+                    continue
+                key = canonical_key(apply_move(root, m))
+                reached = parse_gauss(key)
+                spent = vknots.search._spend((0, 0, 0), m.kind)
+                after = enumerate_moves(reached, run.kinds(reached, spent))
+                if after:
+                    chain = [(0, first, key), (1, len(after) - 1, key)]
+                    assert run.line(0, chain)[1] == [m, after[-1]]
+                    break
+
+    def test_search_builds_no_inverse_per_child(self, monkeypatch):
+        # A child is applied through the core, whose handler returns the
+        # inverse's kind and parameters unbuilt, so the Kishino search
+        # builds a `Move` only for each move it lists or draws and each
+        # step it translates (about 19,600 more when each child's
+        # inverse was built).
+        built = listed = drawn = 0
+        check = Move.__post_init__
+        list_moves, iter_moves = vknots.search.enumerate_moves, vknots.search._iter_moves
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            check(self)
+
+        def listing(*args, **kw):
+            nonlocal listed
+            out = list_moves(*args, **kw)
+            listed += len(out)
+            return out
+
+        def drawing(*args):
+            nonlocal drawn
+            for m in iter_moves(*args):
+                drawn += 1
+                yield m
+
+        monkeypatch.setattr(Move, "__post_init__", counted)
+        monkeypatch.setattr(vknots.search, "enumerate_moves", listing)
+        monkeypatch.setattr(vknots.search, "_iter_moves", drawing)
+        out = search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
+        assert _counters(out) == ("found", 41, 1976)
+        assert built <= listed + drawn + len(out.certificate.steps)
 
 
 class TestDeterminism:
