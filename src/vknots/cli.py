@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success / found / valid; 1 search exhausted or claim not
-established; 2 invalid certificate; 3 parse or usage error; 130
-interrupted (Ctrl-C).
+Exit codes: 0 success / found / valid; 1 search exhausted or budget-hit,
+or claim not established; 2 invalid certificate; 3 parse or usage error;
+130 interrupted (Ctrl-C).
 
 Machine output is line-oriented ``key=value`` records so scripts in any
 language can scrape it.

@@ -59,26 +59,23 @@ different partitions admit different completions.
 Expansion is deterministic best-first on crossing count plus component
 count, biased toward simplification (deletion moves are enumerated
 first).  All three searches run through the one loop of `_BestFirst`,
-which owns popping and parsing, the caps, expansion and pruning, the
-keying, surface labels and cobordism counters of children, the parent
-pointers, dedup and the rebuilding of a found chain, and leaves each
-search its dedup identity and goal test.
+which owns the heap entries, popping and parsing, the caps, expansion
+and pruning, the keying, surface labels and cobordism counters of
+children, the parent pointers, dedup and the rebuilding of a found
+chain, and leaves each search its dedup identity and goal test.
 
-Both R-move searches, `search_equivalent` and `reduce_diagram`, expand
-a popped state one size class at a time (partial expansion, Yoshizumi,
-Miura and Ishida, AAAI 2000): first the moves that do not grow it (r1
-and r2 deletions, r3), then the r1 insertions, then the r2 insertions.
-Between classes `_BestFirst.states` queues the state again, with its
-own parent seq and move index, at the size of the next class's
-children, so insertions are keyed only when the frontier reaches their
-size.  A run that stops early keys few children: the equivalence
-searches of the 100 bench unknots key 644 where whole expansion keyed
-10,272.  A run that ends exhausted keys the same children and pays for
-the re-pops, since every pop counts as a node, so max_nodes still
-bounds the work and the frontier.  Equivalence certificates are no
-longer shortest: 251 steps in all for the bench unknots, where whole
-expansion found a shortest path for each, 233.  `search_slice` expands
-a state whole, and its heap entries carry no class: by class, its
+A popped state is expanded one class of moves at a time (partial
+expansion, Yoshizumi, Miura and Ishida, AAAI 2000); between classes the
+engine queues it again at the size of the next class's children, so a
+class is keyed only when the frontier reaches its size.  Both R-move
+searches, `search_equivalent` and `reduce_diagram`, use the size
+classes: the moves that do not grow a state (r1 and r2 deletions, r3),
+then r1 insertions, then r2 insertions.  A run that stops early keys
+few children; one that ends exhausted keys the same children as whole
+expansion and pays for the re-pops, since every pop counts as a node,
+so max_nodes still bounds the work and the frontier.  An equivalence
+certificate need not be a shortest one.  `search_slice` has one class
+holding every kind, so it expands a state whole: by size class, its
 budget-hit trefoil probes would run several times as long.
 """
 
@@ -94,6 +91,7 @@ from .canonical import canonicalize  # noqa: F401  (bench/tracer.py wraps it)
 from .certificates import CobordismCertificate, _translate_steps, advance_classes
 from .diagram import DiagramError, GaussDiagram, _check_endpoints, parse_gauss
 from .moves import (
+    ALL_KINDS,
     Move,
     _apply_core,
     _build,
@@ -165,39 +163,48 @@ def _spend(spent: tuple[int, int, int], kind: str) -> tuple[int, int, int]:
 
 # The size classes of R-moves, each with the growth in crossings of its
 # children, in the order `enumerate_moves` lists them.  Every search
-# expands a class while its children fit the crossing cap; the R-move
-# searches expand a popped state one class at a time.
+# expands a class while its children fit the crossing cap.  The R-move
+# searches expand a popped state one size class at a time; the cobordism
+# search has the one class `_WHOLE`, every kind.
 _SIZE_CLASSES = (
     (frozenset({"r1_delete", "r2_delete", "r3"}), 0),
     (frozenset({"r1_insert"}), 1),
     (frozenset({"r2_insert"}), 2),
 )
+_WHOLE = ((ALL_KINDS, 0),)
+
+# A root is admitted and queued as a child of this stand-in for a popped
+# state, one level above depth 0, by the link (None, None) of no move.
+_NO_STATE = (None, None, -1)
 
 
 class _BestFirst:
     """The best-first loop that all three searches run through.
 
-    There is one frontier per root diagram, a heap of entries
-    (priority, seq, depth, key, parent, index, *payload) popped in
-    (priority, seq) order: the state's canonical key, the seq of the
-    popped state that made it and the move's index in that state's
-    enumeration (both None for a root, and in a reduction, which keeps
-    no parent pointers), then the search's own payload.  Root `side` is
-    keyed, admitted and pushed at depth 0 with the search's root
-    `payload` as seq `side`.  `states` pops one state from each nonempty
-    frontier in turn, writes its parent record (parent, index, key) if
-    it is expanded, and parses its key.  With `by_class`, the payload
-    starts with the index into `_SIZE_CLASSES` of the class the entry
-    expands, 0 when a search pushes it; once the search is done with
-    the popped state, `states` queues it again for the next class that
-    fits the crossing cap, with the state's own depth, key, parent and
-    index.  `children` prunes a popped state's moves before applying
-    them and hands on each finished child: its key, size, cobordism
-    counters and surface labels; `admit` deduplicates; `push` queues a
-    child, writing nothing but its heap entry; `chain` follows the
-    records and `line` rebuilds them.  A search supplies only its dedup
-    identity and its goal test.  The caps on crossings and components
-    are the budget's, raised to fit the roots.
+    There is one frontier per root diagram, a heap of states, each one
+    entry (size, seq, depth, key, parent, index, cls, spent, labels)
+    popped in (size, seq) order.  Size is crossings plus components, key
+    the state's canonical key; its link (parent, index) names the popped
+    state that made it by seq and the move by its index in that state's
+    enumeration; cls is the class of moves the entry expands, spent and
+    labels are its cobordism counters and surface labels.  `states` pops
+    one state from each nonempty frontier in turn, writes its parent
+    record (parent, index, key) and parses its key; once the search is
+    done with the popped state, it queues the state again, with the same
+    depth, key, link, counters and labels, for the next class that fits
+    the crossing cap, at the size of that class's children.  The classes
+    are `_SIZE_CLASSES`, or for a cobordism search the one class
+    `_WHOLE`, so that search never re-queues a state.
+
+    `children` prunes a popped state's moves of its class before
+    applying them and hands on each finished child (link, key, size,
+    spent, labels, comps, signs); `admit` deduplicates a child and
+    `push` queues it for its first class, one level deeper than its
+    parent, writing nothing but its heap entry; `chain` follows the
+    records and `line` rebuilds them.  Root `side` is admitted and
+    pushed as seq `side`.  A search supplies only its dedup identity and
+    its goal test.  The caps on crossings and components are the
+    budget's, raised to fit the roots.
 
     Each frontier keeps identity -> minimal (s, b, d, depth) vectors: the
     vector itself, bare, while it is the only one, and a tuple of
@@ -210,16 +217,22 @@ class _BestFirst:
 
     def __init__(
         self, budget: SearchBudget, roots: tuple[GaussDiagram, ...],
-        cobordism: bool = False, payload: tuple = (), by_class: bool = False,
+        cobordism: bool = False,
     ):
         self.t0 = time.perf_counter()
         self.budget = budget
         self.cap_n = max(budget.max_crossings, *(r.n_crossings for r in roots))
         self.cap_c = max(budget.max_components, *(r.n_components for r in roots))
         self.cobordism = cobordism
-        self.by_class = by_class
+        self.classes = _WHOLE if cobordism else _SIZE_CLASSES
+        # the kinds listed to expand each class: it and every earlier one,
+        # so that a move's index counts in the whole enumeration
+        self.listed = tuple(
+            frozenset().union(*(k for k, _ in self.classes[: c + 1]))
+            for c in range(len(self.classes))
+        )
         self.frontiers: list[list[tuple]] = [[] for _ in roots]
-        self.parents: dict[int, tuple[int, int, str]] = {}  # popped seq -> record
+        self.parents: dict[int, tuple] = {}  # popped seq -> (parent, index, key)
         self.seq = 0
         self.nodes = 0
         self.status = "exhausted"
@@ -230,8 +243,9 @@ class _BestFirst:
         self.hits = 0
         self.root_keys = tuple(canonical_key(r) for r in roots)
         for side, (root, key) in enumerate(zip(roots, self.root_keys)):
-            self.admit(side, key, (0, 0, 0), 0)
-            self.push(side, root.n_crossings + root.n_components, 0, key, *payload)
+            size, zero = root.n_crossings + root.n_components, (0, 0, 0)
+            self.admit(side, _NO_STATE, key, zero)
+            self.push(side, _NO_STATE, ((None, None), key, size, zero, (0,)))
 
     def outcome(self, cert: CobordismCertificate | None) -> SearchOutcome:
         """The run's outcome: "found" with `cert`, else the loop's status."""
@@ -244,12 +258,13 @@ class _BestFirst:
         return self.tuples.setdefault(t, t)
 
     def admit(
-        self, side: int, ident: str, spent: tuple[int, int, int], depth: int
+        self, side: int, state: tuple, ident: str, spent: tuple[int, int, int]
     ) -> bool:
-        """Whether a state of dedup identity `ident` is new on frontier
-        `side`: no state admitted there has the same identity and counters
-        and depth no larger.  A skip counts as a dedup hit."""
-        vec = (*spent, depth if self.track_depth else 0)
+        """Whether a child of the popped `state` with dedup identity
+        `ident` and counters `spent` is new on frontier `side`: no state
+        admitted there has the same identity and counters and depth no
+        larger.  A skip counts as a dedup hit."""
+        vec = (*spent, state[2] + 1 if self.track_depth else 0)
         table = self.tables[side]
         old = table.get(ident)
         if old is None:
@@ -264,31 +279,31 @@ class _BestFirst:
         table[ident] = (*kept, self.share(vec)) if kept else self.share(vec)
         return True
 
-    def push(
-        self, side: int, size: int, depth: int, key: str, *payload,
-        parent: tuple = (None, None),
-    ) -> None:
-        """Queue the state keyed `key`, of `size` crossings plus
-        components, to frontier `side`.  `parent` (parent seq, move
-        index) names the popped state and the move that made it; only
-        the heap entry is written, and `states` keeps the record when
-        it pops the entry."""
-        heapq.heappush(
-            self.frontiers[side], (size, self.seq, depth, key, *parent, *payload)
-        )
+    def push(self, side: int, state: tuple, child: tuple) -> None:
+        """Queue a `child` of the popped `state`, as `children` yields it,
+        to frontier `side` for its first class; only the heap entry is
+        written, and `states` keeps the record when it pops the entry."""
+        (parent, index), key, size, spent, labels = child[:5]
+        heapq.heappush(self.frontiers[side], (
+            size, self.seq, state[2] + 1, key, parent, index, 0,
+            self.share(spent), self.share(labels),
+        ))
         self.seq += 1
 
-    def chain(self, seq: int) -> list[tuple[int, int, str]]:
-        """The parent records (parent, index, key) from a root to `seq`."""
+    def chain(self, link: tuple, key: str) -> list[tuple[int, int, str]]:
+        """The parent records (parent, index, key) from a root to the
+        state keyed `key` that `link` (parent seq, move index) made; none
+        for a root, whose link is (None, None)."""
         out = []
-        while seq in self.parents:
-            out.append(self.parents[seq])
-            seq = out[-1][0]
+        parent, index = link
+        while parent is not None:
+            out.append((parent, index, key))
+            parent, index, key = self.parents[parent]
         return out[::-1]
 
     def states(self, stop_when_overfull: bool = True):
-        """Yield (side, entry, diagram) for each popped state below the
-        depth cap, the diagram parsed from the entry's key.
+        """Yield (side, state, diagram) for each popped state below the
+        depth cap, the diagram parsed from the state's key.
 
         Every pop counts as a node, also of a state at the depth cap,
         which is dropped before any work is spent on it.  The run stops
@@ -298,7 +313,7 @@ class _BestFirst:
         outnumber the nodes left (see the module docstring); it is
         "exhausted" when every frontier is empty.
         """
-        budget = self.budget
+        budget, classes = self.budget, self.classes
         while any(self.frontiers):
             if (
                 stop_when_overfull
@@ -312,28 +327,27 @@ class _BestFirst:
                 if self.nodes >= budget.max_nodes:
                     self.status = "budget-hit"
                     return
-                entry = heapq.heappop(heap)
+                state = heapq.heappop(heap)
                 self.nodes += 1
-                if entry[2] < budget.max_depth:
-                    if entry[4] is not None:
-                        self.parents[entry[1]] = (entry[4], entry[5], entry[3])
-                    diag = parse_gauss(entry[3])
-                    yield side, entry, diag
-                    # The caller is done with this class's children: the
-                    # next class waits at the size of its children.
-                    if self.by_class and entry[6] + 1 < len(_SIZE_CLASSES):
-                        cls = entry[6] + 1
-                        growth = _SIZE_CLASSES[cls][1]
-                        if diag.n_crossings + growth <= self.cap_n:
-                            size = diag.n_crossings + diag.n_components + growth
-                            self.push(
-                                side, size, entry[2], entry[3], cls, *entry[7:],
-                                parent=entry[4:6],
-                            )
+                _, sq, depth, key, parent, index, cls, spent, labels = state
+                if depth >= budget.max_depth:
+                    continue
+                self.parents[sq] = (parent, index, key)
+                diag = parse_gauss(key)
+                yield side, state, diag
+                # The caller is done with this class's children: the next
+                # class waits at the size of its children.
+                cls += 1
+                if cls < len(classes) and (
+                    diag.n_crossings + classes[cls][1] <= self.cap_n
+                ):
+                    size = diag.n_crossings + diag.n_components + classes[cls][1]
+                    heapq.heappush(heap, (
+                        size, self.seq, depth, key, parent, index, cls, spent, labels
+                    ))
+                    self.seq += 1
 
-    def kinds(
-        self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0)
-    ) -> set[str]:
+    def kinds(self, diag: GaussDiagram, spent: tuple[int, int, int]) -> set[str]:
         """The move kinds expanded from `diag` at cobordism counters
         `spent`: insertions while they fit the crossing cap, and in a
         cobordism search each cobordism move while the budget allows it;
@@ -371,41 +385,37 @@ class _BestFirst:
             refs.append(parse_gauss(key))
         return refs, steps
 
-    def children(
-        self, diag: GaussDiagram, spent: tuple[int, int, int] = (0, 0, 0),
-        classes: tuple[int, ...] = (), size_class: int | None = None,
-    ):
-        """Yield (index, key, size, spent, classes, comps, signs) for each
-        child of `diag` at cobordism counters `spent`, in enumeration
-        order: index is the move's position in the enumeration of
-        `kinds(diag, spent)`, size is crossings plus components.  With
-        `size_class`, only the moves of that class of `_SIZE_CLASSES`
-        are applied and the enumeration stops after them; the classes
-        are listed in that order, so the index still counts in the whole
-        enumeration, the one `line` replays.
+    def children(self, state: tuple, diag: GaussDiagram):
+        """Yield (link, key, size, spent, labels, comps, signs) for each
+        child of the popped `state`, parsed as `diag`, by a move of the
+        state's class, in enumeration order: link is (state's seq, index),
+        index the move's position in the enumeration of `kinds(diag,
+        spent)`, which `line` replays, size is crossings plus components,
+        spent and labels are the child's counters and surface labels.
+        The classes are listed in enumeration order, so the enumeration
+        stops after the state's class and the index still counts in the
+        whole of it.
 
         A child is the endpoint lists `comps` and sign table `signs` the
         applier core edits, never a `GaussDiagram`: its endpoints are
         checked and it is keyed once from those lists.  In a cobordism
-        search `classes` labels the surface piece of each component of
-        `diag`; the labels are carried across a move before it is
+        search the state's labels name the surface piece of each
+        component of `diag`; they are carried across a move before it is
         applied, and a move that closes off a piece or whose labels (one
         per component) outnumber the component cap is dropped unbuilt.
         A child's labels are in canonical component order, renumbered by
         first appearance, so they are isomorphism-invariant.  R-moves
         keep the labels and the component count, which the cap already
         fits, so only cobordism moves are labelled."""
-        kinds, only = self.kinds(diag, spent), None
-        if size_class is not None:
-            only = _SIZE_CLASSES[size_class][0]
-            kinds &= frozenset().union(*(k for k, _ in _SIZE_CLASSES[: size_class + 1]))
+        _, sq, _, _, _, _, cls, spent, state_labels = state
+        kinds, only = self.kinds(diag, spent) & self.listed[cls], self.classes[cls][0]
         tables = _SiteTables(diag)
         for i, m in enumerate(enumerate_moves(diag, kinds=kinds, tables=tables)):
-            if only is not None and m.kind not in only:
+            if m.kind not in only:
                 continue
-            labels = classes
+            labels = state_labels
             if m.kind in _COST:
-                labels, closed = advance_classes(classes, m, diag)
+                labels, closed = advance_classes(state_labels, m, diag)
                 if closed or len(labels) > self.cap_c:
                     continue
             comps, signs, _ = _apply_core(diag, m, tables)
@@ -415,7 +425,7 @@ class _BestFirst:
                 first: dict[int, int] = {}
                 labels = tuple(first.setdefault(labels[k], len(first)) for k in order)
             size = len(signs) + len(comps)
-            yield i, key, size, _spend(spent, m.kind), labels, comps, signs
+            yield (sq, i), key, size, _spend(spent, m.kind), labels, comps, signs
 
 
 # -- sliceness -----------------------------------------------------------
@@ -434,28 +444,22 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
         raise DiagramError("search_slice needs a round diagram")
     if d.n_components != 1:
         raise DiagramError("search_slice needs a one-component knot")
-    # payload: ((s, b, d), classes)
-    run = _BestFirst(budget, (d,), cobordism=True, payload=((0, 0, 0), (0,)))
+    run = _BestFirst(budget, (d,), cobordism=True)
     goal_key = canonical_key(parse_gauss("()"))
     if run.root_keys[0] == goal_key:
         return run.outcome(CobordismCertificate(d, (), parse_gauss("()")))
 
-    for _, (_, sq, depth, _, _, _, spent, classes), diag in run.states():
-        for index, key, size, child_spent, child_classes, _, _ in run.children(
-            diag, spent, classes
-        ):
-            s, b, dd = child_spent
+    for _, state, diag in run.states():
+        for child in run.children(state, diag):
+            link, key, _, spent, labels, _, _ = child
+            s, b, dd = spent
             if key == goal_key and s == b + dd:
-                refs, steps = run.line(0, run.chain(sq) + [(sq, index, key)])
+                refs, steps = run.line(0, run.chain(link, key))
                 translated = _translate_steps(refs, tuple(steps), d)
                 cert = CobordismCertificate(d, tuple(translated), refs[-1])
                 return run.outcome(cert)
-            tag = _partition_tag(child_classes)
-            if run.admit(0, key + tag, child_spent, depth + 1):
-                run.push(
-                    0, size, depth + 1, key, run.share(child_spent),
-                    run.share(child_classes), parent=(sq, index),
-                )
+            if run.admit(0, state, key + _partition_tag(labels), spent):
+                run.push(0, state, child)
     return run.outcome(None)
 
 
@@ -489,31 +493,27 @@ def search_equivalent(
             f"cannot relate diagrams with {a.n_components} and "
             f"{b.n_components} components by R-moves"
         )
-    # payload: the index into _SIZE_CLASSES of the class this pop expands
-    run = _BestFirst(budget, (a, b), payload=(0,), by_class=True)
+    run = _BestFirst(budget, (a, b))
     if run.root_keys[0] == run.root_keys[1]:
         return run.outcome(CobordismCertificate(a, (), b))
 
-    # made[side]: key -> (parent seq, move index) of its latest admission
-    # on that side, None for the root.  The parent was popped, so
-    # `run.chain` reaches it, while the state itself may still be queued.
-    made = tuple({key: None} for key in run.root_keys)
-
-    def records(link, key):
-        return [] if link is None else run.chain(link[0]) + [(*link, key)]
-
-    for side, (_, sq, depth, _, _, _, cls), diag in run.states():
-        for index, key, size, *_ in run.children(diag, size_class=cls):
-            if not run.admit(side, key, (0, 0, 0), depth + 1):
+    # made[side]: key -> link (parent seq, move index) of its latest
+    # admission on that side.  The parent was popped, so `run.chain`
+    # reaches it, while the state itself may still be queued.
+    made = tuple({key: (None, None)} for key in run.root_keys)
+    for side, state, diag in run.states():
+        for child in run.children(state, diag):
+            link, key, _, spent, _, _, _ = child
+            if not run.admit(side, state, key, spent):
                 continue
             if key in made[1 - side]:
-                here = records((sq, index), key)
-                there = records(made[1 - side][key], key)
+                here = run.chain(link, key)
+                there = run.chain(made[1 - side][key], key)
                 chain_a, chain_b = (here, there) if side == 0 else (there, here)
                 cert = _splice(a, run.line(0, chain_a), run.line(1, chain_b), b)
                 return run.outcome(cert)
-            made[side][key] = link = (sq, index)
-            run.push(side, size, depth + 1, key, 0, parent=link)
+            made[side][key] = link
+            run.push(side, state, child)
     return run.outcome(None)
 
 
@@ -565,21 +565,21 @@ def reduce_diagram(
         return d, 0
     min_genus = best_rank[1]
 
-    # payload: the index into _SIZE_CLASSES of the class this pop expands
-    run = _BestFirst(budget, (d,), payload=(0,), by_class=True)
+    run = _BestFirst(budget, (d,))
     # No early stop: the best diagram seen improves until the last node.
-    for _, (_, _, depth, _, _, _, cls), diag in run.states(stop_when_overfull=False):
-        for _, key, size, _, _, comps, signs in run.children(diag, size_class=cls):
-            if not run.admit(0, key, (0, 0, 0), depth + 1):
+    for _, state, diag in run.states(stop_when_overfull=False):
+        for child in run.children(state, diag):
+            _, key, _, spent, _, comps, signs = child
+            if not run.admit(0, state, key, spent):
                 continue
             if len(signs) <= best_rank[0]:
-                child = _build(comps, signs, diag.long)
-                g = carter_genus(child)
+                built = _build(comps, signs, diag.long)
+                g = carter_genus(built)
                 min_genus = min(min_genus, g)
-                rank = (child.n_crossings, g)
+                rank = (built.n_crossings, g)
                 if rank < best_rank:
-                    best, best_rank = child, rank
+                    best, best_rank = built, rank
                     if best_rank == (0, 0):  # nothing smaller exists
                         return best, min_genus
-            run.push(0, size, depth + 1, key, 0)
+            run.push(0, state, child)
     return best, min_genus

@@ -1,6 +1,8 @@
 """The vknots command-line interface: output records and exit codes."""
 
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import vknots.cli
-from vknots import SearchBudget
+from vknots import SearchBudget, parse_gauss, render_certificate, search_equivalent
 from vknots.cli import _budget, build_parser
 
-from .conftest import KISHINO, TREFOIL, VIRTUAL_TREFOIL
+from .conftest import CORPUS, KISHINO, TREFOIL, VIRTUAL_TREFOIL
 from .conftest import run_cli as run
 
 KISHINO_CERT = f"""\
@@ -131,6 +133,19 @@ class TestSearch:
         assert r.returncode == 1
         assert r.stdout.startswith("status=exhausted ")
 
+    @pytest.mark.parametrize(
+        "args",
+        [("search-slice", TREFOIL, "--max-nodes", "5", "--max-saddles", "2",
+          "--max-deaths", "2"),
+         ("search-equiv", TREFOIL, "()", "--max-nodes", "5")],
+        ids=["search-slice", "search-equiv"],
+    )
+    def test_search_budget_hit_exit_1(self, args, capsys):
+        assert vknots.cli.main(list(args)) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("status=budget-hit ")
+        assert out.count("\n") == 1  # the record only, no certificate
+
     def test_search_equiv(self):
         r = run(
             "search-equiv", "O1+U1+", "()", "--max-crossings", "4",
@@ -209,6 +224,92 @@ def installed_env(tmp_path):
     assert r.returncode == 0, r.stdout + r.stderr
     path = os.pathsep.join([str(tmp_path / "bin"), os.environ.get("PATH", "")])
     return dict(os.environ, PATH=path, PYTHONPATH=str(tmp_path / "lib"))
+
+
+def _mutate(rng, text: str, alphabet: str) -> str:
+    """`text` with one edit to its tokens (each endpoint such as `O12+`
+    is one token, any other character is one): two swapped, one deleted,
+    or a character of `alphabet` inserted or put in place of one."""
+    tokens = re.findall(r"[OU]\d+[+-]|.", text, re.S)
+    i = rng.randrange(len(tokens) + 1)
+    op = rng.choice("ssdir") if tokens else "i"
+    if op == "i":
+        tokens.insert(i, rng.choice(alphabet))
+        return "".join(tokens)
+    i = min(i, len(tokens) - 1)
+    if op == "s":
+        j = rng.randrange(len(tokens))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif op == "d":
+        del tokens[i]
+    else:
+        tokens[i] = rng.choice(alphabet)
+    return "".join(tokens)
+
+
+class TestMutatedInput:
+    """Damaged input ends in an error message and an exit code, never
+    in a traceback: seeded mutations of valid Gauss codes and of valid
+    certificates go through `main` in-process."""
+
+    CODE_CHARS = "OU+-0123456789;()L: x"
+    CERT_CHARS = CODE_CHARS + "abcdehilpqrstxyz=#\n"
+    COMMANDS = [
+        ["parse"], ["info"], ["canon"], ["reverse"], ["closure"], ["inverse"],
+        ["mirror", "--mode", "switch"], ["cut", "--arc", "1"],
+        ["reduce", "--max-nodes", "50"], ["search-slice", "--max-nodes", "50"],
+    ]
+
+    @staticmethod
+    def _codes(calls):
+        """The exit code of each command line, and the lines that raised."""
+        codes, escaped = [], []
+        for argv in calls:
+            try:
+                codes.append(vknots.cli.main(argv))
+            except Exception as err:  # what the test looks for
+                escaped.append((argv, repr(err)))
+        return codes, escaped
+
+    def test_mutated_gauss_codes(self, capsys):
+        rng = random.Random(20261020)
+        calls = []
+        for n in range(600):
+            code = rng.choice(CORPUS)
+            for _ in range(rng.randint(1, 3)):
+                code = _mutate(rng, code, self.CODE_CHARS)
+            calls.append([*self.COMMANDS[n % len(self.COMMANDS)], "--", code])
+        codes, escaped = self._codes(calls)
+        capsys.readouterr()
+        assert not escaped, f"{len(escaped)} escaped, e.g. {escaped[:3]}"
+        assert set(codes) <= {0, 1, 2, 3}
+        assert {0, 3} <= set(codes)  # some mutants still parse, some do not
+
+    def test_mutated_certificates(self, tmp_path, capsys):
+        rng = random.Random(20261021)
+        found = search_equivalent(
+            parse_gauss("()"), parse_gauss("O1+U1+O2-U2-"), SearchBudget.small()
+        )
+        texts = [
+            KISHINO_CERT,
+            vknots.cli._data("kishino_concordance.cert"),
+            vknots.cli._data("kishino_slice_disk.cert"),
+            render_certificate(found.certificate),
+        ]
+        calls = []
+        for n in range(300):
+            lines = rng.choice(texts).splitlines(keepends=True)
+            i = rng.randrange(len(lines))
+            lines[i] = _mutate(rng, lines[i], self.CERT_CHARS)
+            path = tmp_path / f"{n}.cert"
+            path.write_text("".join(lines))
+            claim = ("concordance", "slice-disk")[n % 2]
+            calls += [["validate", "--claim", claim, str(path)], ["apply", str(path)]]
+        codes, escaped = self._codes(calls)
+        capsys.readouterr()
+        assert not escaped, f"{len(escaped)} escaped, e.g. {escaped[:3]}"
+        assert set(codes) <= {0, 1, 2, 3}
+        assert {0, 2, 3} <= set(codes)
 
 
 class TestDemo:

@@ -418,9 +418,10 @@ class TestPruningAudit:
         admitted: dict[tuple, list] = {}
         push = vknots.search._BestFirst.push
 
-        def spy(run, side, size, depth, key, spent, classes, **kw):
+        def spy(run, side, state, child):
+            _, key, _, spent, classes = child[:5]
             admitted.setdefault((key, classes), []).append(spent)
-            return push(run, side, size, depth, key, spent, classes, **kw)
+            return push(run, side, state, child)
 
         monkeypatch.setattr(vknots.search._BestFirst, "push", spy)
         d = parse_gauss(code)
@@ -459,9 +460,9 @@ class TestReduceAudit:
         admitted = set()
         push = vknots.search._BestFirst.push
 
-        def spy(run, side, size, depth, key, *payload, **kw):
-            admitted.add(key)
-            return push(run, side, size, depth, key, *payload, **kw)
+        def spy(run, side, state, child):
+            admitted.add(child[1])
+            return push(run, side, state, child)
 
         monkeypatch.setattr(vknots.search._BestFirst, "push", spy)
         d = parse_gauss(code)
@@ -514,8 +515,8 @@ class TestEquivalenceAudit:
         admitted = set()  # keys admitted on a's side
         admit = vknots.search._BestFirst.admit
 
-        def spy_admit(run, side, ident, *args):
-            new = admit(run, side, ident, *args)
+        def spy_admit(run, side, state, ident, spent):
+            new = admit(run, side, state, ident, spent)
             if new and side == 0:
                 admitted.add(ident)
             return new
@@ -605,15 +606,23 @@ class TestChildKeying:
     def test_size_classes_keep_the_enumeration_index(self, code):
         # Expanded one size class at a time, a state yields the same
         # children under the same indices as expanded whole, so `line`
-        # replays the whole enumeration for either.
+        # replays the whole enumeration for either.  A cobordism search
+        # with every cobordism cap at 0 expands the R-moves whole, as its
+        # one class; the R-move search pops the root once per size class.
         d = parse_gauss(code)
+
+        def expand(run):
+            return [
+                (index, key)
+                for _, state, diag in run.states()
+                for (_, index), key, *_ in run.children(state, diag)
+            ]
+
+        whole_run = vknots.search._BestFirst(SearchBudget(), (d,), cobordism=True)
+        whole = expand(whole_run)
         run = vknots.search._BestFirst(SearchBudget(), (d,))
-        whole = [(i, key) for i, key, *_ in run.children(d)]
-        by_class = sorted(
-            (i, key)
-            for cls in range(len(vknots.search._SIZE_CLASSES))
-            for i, key, *_ in run.children(d, size_class=cls)
-        )
+        by_class = sorted(expand(run))
+        assert (whole_run.nodes, run.nodes) == (1, len(vknots.search._SIZE_CLASSES))
         assert by_class == whole
 
     @pytest.mark.parametrize(
@@ -640,7 +649,7 @@ class TestChildKeying:
 
         def spy(run, *args, **kw):
             for side, entry, diag in states(run, *args, **kw):
-                size, _, depth, key, _, _, cls = entry
+                size, _, depth, key, _, _, cls, _, _ = entry
                 assert size == diag.n_crossings + diag.n_components + classes[cls][1]
                 fits = [c for c, (_, g) in enumerate(classes)
                         if diag.n_crossings + g <= run.cap_n]
@@ -711,7 +720,7 @@ class TestChainRebuild:
                     max_saddles=s, max_births=b, max_deaths=dd,
                 )
                 run = vknots.search._BestFirst(budget, (d,), cobordism=True)
-                runs.setdefault(frozenset(run.kinds(d)), run)
+                runs.setdefault(frozenset(run.kinds(d, (0, 0, 0))), run)
         assert len(runs) == 24
         for kinds, run in runs.items():
             root = parse_gauss(run.root_keys[0])
@@ -768,6 +777,41 @@ class TestChainRebuild:
         out = search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
         assert _counters(out) == ("found", 41, 1976)
         assert built <= listed + drawn + len(out.certificate.steps)
+
+    @pytest.mark.parametrize(
+        "search",
+        [lambda: search_slice(parse_gauss(KISHINO), KISHINO_BUDGET),
+         lambda: search_equivalent(
+            parse_gauss(SIX_CROSSING_UNKNOT), parse_gauss("()"), UNKNOT_BUDGET),
+         lambda: reduce_diagram(
+            parse_gauss(TREFOIL),
+            SearchBudget(max_crossings=5, max_components=1, max_nodes=300))],
+        ids=["slice", "equivalent", "reduce"],
+    )
+    def test_every_record_replays(self, search, monkeypatch):
+        # Every search keeps a parent record for each state it expands,
+        # and `line` replays the chain of any of them from its root: each
+        # step, applied to the diagram before it, reaches the next key,
+        # so the line ends at a diagram with the record's key.
+        runs = []
+        init = vknots.search._BestFirst.__init__
+
+        def spy(run, *args, **kw):
+            init(run, *args, **kw)
+            runs.append(run)
+
+        monkeypatch.setattr(vknots.search._BestFirst, "__init__", spy)
+        search()
+        [run] = runs
+        assert len(run.parents) == run.nodes  # no pop reached the depth cap
+        for parent, index, key in run.parents.values():
+            chain = run.chain((parent, index), key)
+            root = run.parents[chain[0][0]][2] if chain else key
+            refs, steps = run.line(run.root_keys.index(root), chain)
+            assert len(steps) == len(chain)
+            for ref, step, reached in zip(refs, steps, refs[1:]):
+                assert canonical_key(apply_move(ref, step)) == canonical_key(reached)
+            assert canonical_key(refs[-1]) == key
 
 
 class TestDeterminism:
