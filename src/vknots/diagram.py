@@ -182,7 +182,8 @@ def _diagnose(components, sign_map: dict) -> None:
 # Whitespace is ignored.  The first component of a long code is the open
 # strand; "L:" alone denotes the long unknot (empty strand).
 
-_TOKEN_RE = re.compile(r"([OU])(\d+)([+-])")
+# integers are ASCII digits: `\d` would match any Unicode digit
+_TOKEN_RE = re.compile(r"([OU])([0-9]+)([+-])")
 
 
 def parse_gauss(text: str) -> GaussDiagram:

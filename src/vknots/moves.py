@@ -54,7 +54,8 @@ candidate, whose Carter genus needs one.
 Moves are listed by one generator, `_iter_moves`, which builds each
 move as it is drawn; `enumerate_moves` is its list.  A caller that
 wants only the move at an index (a search rebuilding a found chain from
-the enumeration indices it recorded) draws up to that index and stops.
+the index of each step among the moves of the kinds it listed) draws up
+to that index and stops.
 """
 
 from __future__ import annotations
@@ -154,10 +155,10 @@ def parse_move(line: str) -> Move:
             raise MoveError(f"repeated parameter {key!r} in {line!r}")
         role = roles.get(key)
         if role in ("id", "comp", "arc"):
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise MoveError(f"bad integer {value!r} in {line!r}") from None
+            # ASCII digits only: int() also reads other digits and "1_0"
+            if not (value.isascii() and value.isdigit()):
+                raise MoveError(f"bad integer {value!r} in {line!r}")
+            params[key] = int(value)
         elif role == "sign":
             if value not in ("+", "-"):
                 raise MoveError(f"bad sign {value!r} in {line!r}")
@@ -284,12 +285,16 @@ class _SiteTables:
     enumeration filled when it listed the move, or else from tables
     built for the one application."""
 
-    __slots__ = ("d", "sites", "_kinks", "_pairs", "_triangles")
+    __slots__ = ("d", "_sites", "_kinks", "_pairs", "_triangles")
 
     def __init__(self, d: GaussDiagram):
         self.d = d
-        self.sites = _sites(d)
-        self._kinks = self._pairs = self._triangles = None
+        self._sites = self._kinks = self._pairs = self._triangles = None
+
+    def sites(self) -> list[tuple[int, int, int, Endpoint, Endpoint]]:
+        if self._sites is None:
+            self._sites = _sites(self.d)
+        return self._sites
 
     def kinks(self) -> dict[int, tuple[int, int, str]]:
         """Crossing id -> (comp, pos, order) for each crossing whose two
@@ -297,7 +302,7 @@ class _SiteTables:
         sites (a circle holding only that crossing), OU wins."""
         if self._kinks is None:
             self._kinks = kinks = {}
-            for c, i, _, (x, role), (y, _) in self.sites:
+            for c, i, _, (x, role), (y, _) in self.sites():
                 if x == y and (role == OVER or x not in kinks):
                     kinks[x] = (c, i, "OU" if role == OVER else "UO")
         return self._kinks
@@ -308,14 +313,14 @@ class _SiteTables:
         under."""
         if self._pairs is None:
             self._pairs = over, under = {}, {}
-            for c, i, _, (x, rx), (y, ry) in self.sites:
+            for c, i, _, (x, rx), (y, ry) in self.sites():
                 if rx == ry:
                     (over if rx == OVER else under)[(x, y)] = (c, i)
         return self._pairs
 
     def triangles(self) -> dict[tuple[int, int, int], tuple]:
         if self._triangles is None:
-            self._triangles = _r3_triangles(self.d, self.sites)
+            self._triangles = _r3_triangles(self.d, self.sites())
         return self._triangles
 
 

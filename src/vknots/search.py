@@ -28,10 +28,11 @@ never are) or lies on a found chain.  The one child diagram built is a
 reduction candidate no larger than the best seen, for its Carter genus.
 
 The engine keeps the parent pointers: a record (parent seq, move index,
-key) names the move that made its state by its index in the parent's
-enumeration, not by a `Move`, so a found chain is rebuilt by listing
-again the moves of each diagram on it, only up to the recorded index,
-then translated onto the input.  A record is written when its state is
+class, key) names the move that made its state by its index among the
+moves its parent's pop listed, not by a `Move`, and the class that pop
+expanded, so a found chain is rebuilt by listing again the moves of
+that class of each diagram on it, only up to the recorded index, then
+translated onto the input.  A record is written when its state is
 popped for expansion, since a chain passes through expanded states
 only; a queued state is one heap entry that carries its parent seq and
 move index (sparse-memory graph search, Zhou and Hansen, IJCAI 2003).
@@ -65,13 +66,14 @@ children, the parent pointers, dedup and the rebuilding of a found
 chain, and leaves each search its dedup identity and goal test.
 
 A popped state is expanded one class of moves at a time (partial
-expansion, Yoshizumi, Miura and Ishida, AAAI 2000); between classes the
-engine queues it again at the size of the next class's children, so a
-class is keyed only when the frontier reaches its size.  Both R-move
-searches, `search_equivalent` and `reduce_diagram`, use the size
-classes: the moves that do not grow a state (r1 and r2 deletions, r3),
-then r1 insertions, then r2 insertions.  A run that stops early keys
-few children; one that ends exhausted keys the same children as whole
+expansion, Yoshizumi, Miura and Ishida, AAAI 2000) and lists only the
+moves of that class; between classes the engine queues it again at the
+size of the next class's children, so a class is listed and keyed only
+when the frontier reaches its size.  Both R-move searches,
+`search_equivalent` and `reduce_diagram`, use the size classes: the
+moves that do not grow a state (r1 and r2 deletions, r3), then r1
+insertions, then r2 insertions.  A run that stops early keys few
+children; one that ends exhausted keys the same children as whole
 expansion and pays for the re-pops, since every pop counts as a node,
 so max_nodes still bounds the work and the frontier.  An equivalence
 certificate need not be a shortest one.  `search_slice` has one class
@@ -162,10 +164,10 @@ def _spend(spent: tuple[int, int, int], kind: str) -> tuple[int, int, int]:
 
 
 # The size classes of R-moves, each with the growth in crossings of its
-# children, in the order `enumerate_moves` lists them.  Every search
-# expands a class while its children fit the crossing cap.  The R-move
-# searches expand a popped state one size class at a time; the cobordism
-# search has the one class `_WHOLE`, every kind.
+# children.  Every search expands a class while its children fit the
+# crossing cap (`_BestFirst.kinds`).  The R-move searches expand a popped
+# state one size class at a time; the cobordism search has the one class
+# `_WHOLE`, every kind.
 _SIZE_CLASSES = (
     (frozenset({"r1_delete", "r2_delete", "r3"}), 0),
     (frozenset({"r1_insert"}), 1),
@@ -185,20 +187,20 @@ class _BestFirst:
     entry (size, seq, depth, key, parent, index, cls, spent, labels)
     popped in (size, seq) order.  Size is crossings plus components, key
     the state's canonical key; its link (parent, index) names the popped
-    state that made it by seq and the move by its index in that state's
-    enumeration; cls is the class of moves the entry expands, spent and
-    labels are its cobordism counters and surface labels.  `states` pops
-    one state from each nonempty frontier in turn, writes its parent
-    record (parent, index, key) and parses its key; once the search is
-    done with the popped state, it queues the state again, with the same
-    depth, key, link, counters and labels, for the next class that fits
-    the crossing cap, at the size of that class's children.  The classes
-    are `_SIZE_CLASSES`, or for a cobordism search the one class
-    `_WHOLE`, so that search never re-queues a state.
+    state that made it by seq and the move by its index among the moves
+    that pop listed; cls is the class of moves the entry expands, spent
+    and labels are its cobordism counters and surface labels.  `states`
+    pops one state from each nonempty frontier in turn, writes its
+    parent record (parent, index, cls, key) and parses its key; once the
+    search is done with the popped state, it queues the state again,
+    with the same depth, key, link, counters and labels, for the next
+    class if `kinds` leaves it any move, at the size of that class's
+    children.  The classes are `_SIZE_CLASSES`, or `_WHOLE` for a
+    cobordism search, which so never re-queues a state.
 
-    `children` prunes a popped state's moves of its class before
-    applying them and hands on each finished child (link, key, size,
-    spent, labels, comps, signs); `admit` deduplicates a child and
+    `children` lists the `kinds` of a popped state's class, prunes them
+    before applying them and hands on each finished child (link, key,
+    size, spent, labels, comps, signs); `admit` deduplicates a child and
     `push` queues it for its first class, one level deeper than its
     parent, writing nothing but its heap entry; `chain` follows the
     records and `line` rebuilds them.  Root `side` is admitted and
@@ -225,14 +227,8 @@ class _BestFirst:
         self.cap_c = max(budget.max_components, *(r.n_components for r in roots))
         self.cobordism = cobordism
         self.classes = _WHOLE if cobordism else _SIZE_CLASSES
-        # the kinds listed to expand each class: it and every earlier one,
-        # so that a move's index counts in the whole enumeration
-        self.listed = tuple(
-            frozenset().union(*(k for k, _ in self.classes[: c + 1]))
-            for c in range(len(self.classes))
-        )
         self.frontiers: list[list[tuple]] = [[] for _ in roots]
-        self.parents: dict[int, tuple] = {}  # popped seq -> (parent, index, key)
+        self.parents: dict[int, tuple] = {}  # seq -> (parent, index, cls, key)
         self.seq = 0
         self.nodes = 0
         self.status = "exhausted"
@@ -298,7 +294,7 @@ class _BestFirst:
         parent, index = link
         while parent is not None:
             out.append((parent, index, key))
-            parent, index, key = self.parents[parent]
+            parent, index, _, key = self.parents[parent]
         return out[::-1]
 
     def states(self, stop_when_overfull: bool = True):
@@ -332,28 +328,28 @@ class _BestFirst:
                 _, sq, depth, key, parent, index, cls, spent, labels = state
                 if depth >= budget.max_depth:
                     continue
-                self.parents[sq] = (parent, index, key)
+                self.parents[sq] = (parent, index, cls, key)
                 diag = parse_gauss(key)
                 yield side, state, diag
                 # The caller is done with this class's children: the next
                 # class waits at the size of its children.
                 cls += 1
-                if cls < len(classes) and (
-                    diag.n_crossings + classes[cls][1] <= self.cap_n
-                ):
+                if cls < len(classes) and self.kinds(diag, spent, cls):
                     size = diag.n_crossings + diag.n_components + classes[cls][1]
                     heapq.heappush(heap, (
                         size, self.seq, depth, key, parent, index, cls, spent, labels
                     ))
                     self.seq += 1
 
-    def kinds(self, diag: GaussDiagram, spent: tuple[int, int, int]) -> set[str]:
-        """The move kinds expanded from `diag` at cobordism counters
-        `spent`: insertions while they fit the crossing cap, and in a
-        cobordism search each cobordism move while the budget allows it;
-        `children` applies the component cap."""
+    def kinds(
+        self, diag: GaussDiagram, spent: tuple[int, int, int], cls: int
+    ) -> set[str]:
+        """The move kinds of class `cls` expanded from `diag` at cobordism
+        counters `spent`: insertions while they fit the crossing cap, and
+        in a cobordism search each cobordism move while the budget allows
+        it; `children` applies the component cap."""
         kinds = set().union(*(
-            cls for cls, growth in _SIZE_CLASSES
+            ks for ks, growth in _SIZE_CLASSES
             if diag.n_crossings + growth <= self.cap_n
         ))
         if self.cobordism:
@@ -364,7 +360,7 @@ class _BestFirst:
                 kinds.add("birth")
             if dd < self.budget.max_deaths:
                 kinds.add("death")
-        return kinds
+        return kinds & self.classes[cls][0]
 
     def line(
         self, side: int, chain: list[tuple[int, int, str]]
@@ -372,14 +368,15 @@ class _BestFirst:
         """The reference line (refs, steps) of a chain of parent records
         (parent, index, key) from the root of frontier `side`: the
         diagrams parsed from the keys, and the move `children` numbered
-        each index from the diagram before it, drawn from its enumeration
-        with the cobordism counters carried forward from (0, 0, 0); the
-        enumeration stops at the index."""
+        each index from the diagram before it, drawn from the `kinds` of
+        the class the parent's pop expanded, with the cobordism counters
+        carried forward from (0, 0, 0); the listing stops at the index."""
         refs = [parse_gauss(self.root_keys[side])]
         steps: list[Move] = []
         spent = (0, 0, 0)
-        for _, index, key in chain:
-            moves = _iter_moves(refs[-1], self.kinds(refs[-1], spent))
+        for parent, index, key in chain:
+            cls = self.parents[parent][2]
+            moves = _iter_moves(refs[-1], self.kinds(refs[-1], spent, cls))
             steps.append(next(itertools.islice(moves, index, None)))
             spent = _spend(spent, steps[-1].kind)
             refs.append(parse_gauss(key))
@@ -390,11 +387,9 @@ class _BestFirst:
         child of the popped `state`, parsed as `diag`, by a move of the
         state's class, in enumeration order: link is (state's seq, index),
         index the move's position in the enumeration of `kinds(diag,
-        spent)`, which `line` replays, size is crossings plus components,
-        spent and labels are the child's counters and surface labels.
-        The classes are listed in enumeration order, so the enumeration
-        stops after the state's class and the index still counts in the
-        whole of it.
+        spent, cls)`, which `line` replays, size is crossings plus
+        components, spent and labels are the child's counters and surface
+        labels.
 
         A child is the endpoint lists `comps` and sign table `signs` the
         applier core edits, never a `GaussDiagram`: its endpoints are
@@ -408,11 +403,9 @@ class _BestFirst:
         keep the labels and the component count, which the cap already
         fits, so only cobordism moves are labelled."""
         _, sq, _, _, _, _, cls, spent, state_labels = state
-        kinds, only = self.kinds(diag, spent) & self.listed[cls], self.classes[cls][0]
+        kinds = self.kinds(diag, spent, cls)
         tables = _SiteTables(diag)
         for i, m in enumerate(enumerate_moves(diag, kinds=kinds, tables=tables)):
-            if m.kind not in only:
-                continue
             labels = state_labels
             if m.kind in _COST:
                 labels, closed = advance_classes(state_labels, m, diag)

@@ -61,6 +61,7 @@ class TestParseRender:
             "O1+U1+ O2+",           # dangling second crossing
             "O1+O1+O1+O1+O1+",      # five overs tally like one over, one under
             "O1+U1+O2+O2+O2+O2+O2+",
+            "O\u0661+U\u0661+",       # Arabic-Indic digit one, not ASCII
         ],
     )
     def test_rejects(self, bad):

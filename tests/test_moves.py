@@ -83,6 +83,7 @@ class TestMoveText:
             "r9 x=1", "r1-", "r1- x=a", "death", "r2- a=1", "saddle c1=0", "r1- kind=3",
             "r1- x=1 x=2", "r1+ c=0 pos=0 sign=+ sign=- order=OU",
             "r1- x1", "r1+ c=0 pos=0 sign=x order=OU",
+            "r1- x=\u0661", "r1- x=1_0",  # a Unicode digit; int()'s digit grouping
             pytest.param(lambda: Move.of("r9"), id="Move.of(r9)"),
         ],
     )

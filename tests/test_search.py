@@ -39,6 +39,13 @@ UNKNOT_BUDGET = SearchBudget(
     max_crossings=6, max_components=1, max_nodes=3000, max_depth=12
 )
 
+# Run against "()" under this budget, this knot's equivalence search
+# pops states of all three size classes before it ends budget-hit.
+FOUR_CROSSING_KNOT = "O1+U2-U1+O2-U3+O4+O3+U4+"
+FIVE_CROSSING_BUDGET = SearchBudget(
+    max_crossings=5, max_components=1, max_nodes=3000, max_depth=12
+)
+
 KISHINO_BUDGET = SearchBudget(
     max_crossings=8,
     max_components=3,
@@ -279,7 +286,7 @@ class TestSearchEquivalent:
         # the step pulled back onto a, named by the same ids, can slide
         # a triangle other than the reference step's and misses its key.
         a = parse_gauss("O1+O2-O3+U1+U2-U3+")
-        sites = vknots.moves._SiteTables(a).sites
+        sites = vknots.moves._SiteTables(a).sites()
         for triple in ((0, 2, 4), (1, 5, 3)):
             over, mixed, under = (sites[i] for i in triple)
             assert vknots.moves._sites_disjoint((over, mixed, under))
@@ -603,25 +610,30 @@ class TestChildKeying:
         "code", [TREFOIL, VIRTUAL_TREFOIL, "O1+U1+O2-U2-"],
         ids=["trefoil", "virtual-trefoil", "kinked-unknot"],
     )
-    def test_size_classes_keep_the_enumeration_index(self, code):
+    def test_size_classes_split_the_whole_expansion(self, code):
         # Expanded one size class at a time, a state yields the same
-        # children under the same indices as expanded whole, so `line`
-        # replays the whole enumeration for either.  A cobordism search
-        # with every cobordism cap at 0 expands the R-moves whole, as its
-        # one class; the R-move search pops the root once per size class.
+        # children as expanded whole, and each child's index counts among
+        # the moves of its pop's class, which `line` lists again.  A
+        # cobordism search with every cobordism cap at 0 expands the
+        # R-moves whole, as its one class; the R-move search pops the
+        # root once per size class.
         d = parse_gauss(code)
 
         def expand(run):
-            return [
-                (index, key)
-                for _, state, diag in run.states()
-                for (_, index), key, *_ in run.children(state, diag)
-            ]
+            keys = set()
+            for _, state, diag in run.states():
+                cls, spent = state[6], state[7]
+                listed = enumerate_moves(diag, run.kinds(diag, spent, cls))
+                assert {m.kind for m in listed} <= run.classes[cls][0]
+                for (_, index), key, *_ in run.children(state, diag):
+                    assert canonical_key(apply_move(diag, listed[index])) == key
+                    keys.add(key)
+            return keys
 
         whole_run = vknots.search._BestFirst(SearchBudget(), (d,), cobordism=True)
         whole = expand(whole_run)
         run = vknots.search._BestFirst(SearchBudget(), (d,))
-        by_class = sorted(expand(run))
+        by_class = expand(run)
         assert (whole_run.nodes, run.nodes) == (1, len(vknots.search._SIZE_CLASSES))
         assert by_class == whole
 
@@ -659,6 +671,64 @@ class TestChildKeying:
         monkeypatch.setattr(vknots.search._BestFirst, "states", spy)
         search()
         assert pops and not any(pops.values())
+
+    @staticmethod
+    def _spy_pops(monkeypatch) -> list[int]:
+        """The class of each state `_BestFirst.states` yields, in order."""
+        popped = []
+        states = vknots.search._BestFirst.states
+
+        def spy(run, *args, **kw):
+            for side, entry, diag in states(run, *args, **kw):
+                popped.append(entry[6])
+                yield side, entry, diag
+
+        monkeypatch.setattr(vknots.search._BestFirst, "states", spy)
+        return popped
+
+    def test_pop_lists_only_its_class(self, monkeypatch):
+        # A popped state lists the moves of its own class, never those of
+        # an earlier class again (502 of the 7,573 moves listed here when
+        # each pop listed every class up to its own).
+        popped = self._spy_pops(monkeypatch)
+        listed = []
+        list_moves = vknots.search.enumerate_moves
+
+        def spy(*args, **kw):
+            out = list_moves(*args, **kw)
+            listed.extend((popped[-1], m.kind) for m in out)
+            return out
+
+        monkeypatch.setattr(vknots.search, "enumerate_moves", spy)
+        out = search_equivalent(
+            parse_gauss(FOUR_CROSSING_KNOT), parse_gauss("()"), FIVE_CROSSING_BUDGET
+        )
+        assert _counters(out) == ("budget-hit", 1485, 5507)
+        classes = vknots.search._SIZE_CLASSES
+        assert listed
+        assert [kind for cls, kind in listed if kind not in classes[cls][0]] == []
+
+    def test_insertion_pops_find_no_sites(self, monkeypatch):
+        # Only the moves of the first size class (r1 and r2 deletions, r3)
+        # are read off the sites, so a pop for r1 or r2 insertions finds
+        # none; with no certificate to rebuild, the run finds the sites
+        # once per pop of the first class.
+        popped = self._spy_pops(monkeypatch)
+        built = 0
+        sites = vknots.moves._sites
+
+        def counted(d):
+            nonlocal built
+            built += 1
+            return sites(d)
+
+        monkeypatch.setattr(vknots.moves, "_sites", counted)
+        out = search_equivalent(
+            parse_gauss(FOUR_CROSSING_KNOT), parse_gauss("()"), FIVE_CROSSING_BUDGET
+        )
+        assert _counters(out) == ("budget-hit", 1485, 5507)
+        assert set(popped) == {0, 1, 2}
+        assert built == popped.count(0)
 
     def test_site_tables_built_once_per_expansion(self, monkeypatch):
         # The r1-, r2- and r3 children of a popped diagram read the site
@@ -720,10 +790,13 @@ class TestChainRebuild:
                     max_saddles=s, max_births=b, max_deaths=dd,
                 )
                 run = vknots.search._BestFirst(budget, (d,), cobordism=True)
-                runs.setdefault(frozenset(run.kinds(d, (0, 0, 0))), run)
+                runs.setdefault(frozenset(run.kinds(d, (0, 0, 0), 0)), run)
         assert len(runs) == 24
         for kinds, run in runs.items():
             root = parse_gauss(run.root_keys[0])
+            # the record of the root's pop (seq 0), which expanded the
+            # one class of a cobordism search
+            run.parents[0] = (None, None, 0, run.root_keys[0])
             listed = enumerate_moves(root, kinds)
             assert {m.kind for m in listed} <= kinds
             for index, m in enumerate(listed):
@@ -738,8 +811,9 @@ class TestChainRebuild:
                 key = canonical_key(apply_move(root, m))
                 reached = parse_gauss(key)
                 spent = vknots.search._spend((0, 0, 0), m.kind)
-                after = enumerate_moves(reached, run.kinds(reached, spent))
+                after = enumerate_moves(reached, run.kinds(reached, spent, 0))
                 if after:
+                    run.parents[1] = (0, first, 0, key)  # the pop of `reached`
                     chain = [(0, first, key), (1, len(after) - 1, key)]
                     assert run.line(0, chain)[1] == [m, after[-1]]
                     break
@@ -804,9 +878,9 @@ class TestChainRebuild:
         search()
         [run] = runs
         assert len(run.parents) == run.nodes  # no pop reached the depth cap
-        for parent, index, key in run.parents.values():
+        for parent, index, _, key in run.parents.values():
             chain = run.chain((parent, index), key)
-            root = run.parents[chain[0][0]][2] if chain else key
+            root = run.parents[chain[0][0]][3] if chain else key
             refs, steps = run.line(run.root_keys.index(root), chain)
             assert len(steps) == len(chain)
             for ref, step, reached in zip(refs, steps, refs[1:]):
