@@ -44,6 +44,13 @@ EXIT_INVALID_CERT = 2
 EXIT_USAGE = 3
 EXIT_INTERRUPTED = 130
 
+CLAIMS = ("concordance", "slice-disk")
+# search-slice's caps by default: one saddle and one death, enough to
+# slice a knot the way the bundled Kishino certificate does
+SLICE_BUDGET = SearchBudget(max_saddles=1, max_deaths=1)
+# the caps the R-move-only commands have no flag for
+_COBORDISM_CAPS = ("max_saddles", "max_births", "max_deaths")
+
 
 class UsageError(Exception):
     """A bad argument that argparse's own checks let through."""
@@ -56,18 +63,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_budget_flags(p: argparse.ArgumentParser, cobordism: bool) -> None:
-    default = SearchBudget()
-    p.add_argument("--max-crossings", type=int, default=default.max_crossings)
-    p.add_argument("--max-components", type=int, default=default.max_components)
-    p.add_argument("--max-depth", type=int, default=default.max_depth)
-    p.add_argument("--max-nodes", type=int, default=default.max_nodes)
-    if cobordism:
-        # One saddle and one death by default: enough to slice a knot
-        # the way the bundled Kishino certificate does.
-        p.add_argument("--max-saddles", type=int, default=1)
-        p.add_argument("--max-births", type=int, default=default.max_births)
-        p.add_argument("--max-deaths", type=int, default=1)
+def _int(text: str) -> int:
+    """An optional `-` and ASCII digits, as Gauss codes and move lines
+    read them: int() alone also reads other digits and `_` grouping."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _add_budget_flags(p, default=SearchBudget(), cobordism=False) -> None:
+    """A `--max-*` flag for each `SearchBudget` field, defaulting to that
+    field of `default`; the cobordism caps only if `cobordism`."""
+    for f in fields(SearchBudget):
+        if cobordism or f.name not in _COBORDISM_CAPS:
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=_int, default=getattr(default, f.name))
 
 
 def _budget(args) -> SearchBudget:
@@ -83,72 +94,65 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="vknots", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse a Gauss code and echo it normalized")
-    p.add_argument("code")
+    def command(name, help, handler, *positionals):
+        """The parser of subcommand `name`, which `main` runs as `handler(args)`."""
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("info", help="crossing/component/writhe stats and Carter genus")
-    p.add_argument("code")
+    def diagram(name, help, op, codes=("code",)):
+        """A command printing `op(*diagrams, args)`, its Gauss codes parsed."""
+        def handler(args):
+            diagrams = [parse_gauss(getattr(args, code)) for code in codes]
+            print(render_gauss(op(*diagrams, args)))
+            return EXIT_OK
+        return command(name, help, handler, *codes)
 
-    p = sub.add_parser("canon", help="canonical key of a diagram")
-    p.add_argument("code")
-
-    p = sub.add_parser("apply", help="replay a certificate file, printing each diagram")
-    p.add_argument("cert")
-
-    p = sub.add_parser("validate", help="validate a certificate file")
-    p.add_argument("cert")
-    p.add_argument("--claim", choices=("concordance", "slice-disk"), required=True)
-
-    p = sub.add_parser("sum", help="connected sum of two long diagrams")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("closure", help="close a long diagram")
-    p.add_argument("code")
-
-    p = sub.add_parser("cut", help="open a round diagram at an arc")
-    p.add_argument("code")
-    p.add_argument("--component", type=int, default=0)
-    p.add_argument("--arc", type=int, required=True)
-
-    p = sub.add_parser("inverse", help="concordance-group inverse of a long diagram")
-    p.add_argument("code")
-
-    p = sub.add_parser("mirror", help="mirror a diagram")
-    p.add_argument("code")
+    diagram("parse", "parse a Gauss code and echo it normalized", lambda d, a: d)
+    command("info", "crossing/component/writhe stats and Carter genus", _info, "code")
+    command("canon", "canonical key of a diagram", _canon, "code")
+    command("apply", "replay a certificate file, printing each diagram", _apply, "cert")
+    p = command("validate", "validate a certificate file", _validate, "cert")
+    p.add_argument("--claim", choices=CLAIMS, required=True)
+    diagram("sum", "connected sum of two long diagrams",
+            lambda left, right, a: connected_sum(left, right), ("left", "right"))
+    diagram("closure", "close a long diagram", lambda d, a: closure(d))
+    p = diagram("cut", "open a round diagram at an arc",
+                lambda d, a: cut(d, a.component, a.arc))
+    p.add_argument("--component", type=_int, default=0)
+    p.add_argument("--arc", type=_int, required=True)
+    diagram("inverse", "concordance-group inverse of a long diagram",
+            lambda d, a: inverse(d))
+    p = diagram("mirror", "mirror a diagram", lambda d, a: mirror(d, a.mode))
     p.add_argument("--mode", choices=("switch", "reflect"), required=True)
+    diagram("reverse", "reverse orientation", lambda d, a: reverse(d))
 
-    p = sub.add_parser("reverse", help="reverse orientation")
-    p.add_argument("code")
+    out = "write the found certificate to this file"
+    p = command("search-slice", "search for a concordance to the unknot",
+                lambda a: _search(a, search_slice, a.code), "code")
+    p.add_argument("--out", help=out)
+    _add_budget_flags(p, SLICE_BUDGET, cobordism=True)
+    p = command("search-equiv", "search for a Reidemeister path a -> b",
+                lambda a: _search(a, search_equivalent, a.left, a.right),
+                "left", "right")
+    p.add_argument("--out", help=out)
+    _add_budget_flags(p)
+    p = command("reduce", "search for a smaller diagram (R-moves only)",
+                _reduce, "code")
+    _add_budget_flags(p)
 
-    p = sub.add_parser("search-slice", help="search for a concordance to the unknot")
-    p.add_argument("code")
-    p.add_argument("--out", help="write the found certificate to this file")
-    _add_budget_flags(p, cobordism=True)
-
-    p = sub.add_parser("search-equiv", help="search for a Reidemeister path a -> b")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--out", help="write the found certificate to this file")
-    _add_budget_flags(p, cobordism=False)
-
-    p = sub.add_parser("reduce", help="search for a smaller diagram (R-moves only)")
-    p.add_argument("code")
-    _add_budget_flags(p, cobordism=False)
-
-    p = sub.add_parser("demo", help="bundled demonstrations")
+    p = command("demo", "bundled demonstrations", _demo)
     p.add_argument("name", choices=("kishino",))
-    p.add_argument(
-        "--claim", choices=("concordance", "slice-disk"), default="concordance"
-    )
-
+    p.add_argument("--claim", choices=CLAIMS, default="concordance")
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except (DiagramError, MoveError, CertificateError, UsageError, OSError) as err:
         print(f"vknots: error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -157,99 +161,59 @@ def main(argv=None) -> int:
         return EXIT_INTERRUPTED
 
 
-def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "parse":
-        print(render_gauss(parse_gauss(args.code)))
-        return EXIT_OK
-
-    if cmd == "info":
-        d = parse_gauss(args.code)
-        report = carter_report(closure(d) if d.long else d)
-        print(
-            f"crossings={d.n_crossings} components={d.n_components} "
-            f"writhe={d.writhe} genus={report.genus}"
-        )
-        print(report.record())
-        return EXIT_OK
-
-    if cmd == "canon":
-        print(canonical_key(parse_gauss(args.code)))
-        return EXIT_OK
-
-    if cmd == "apply":
-        cert = parse_certificate(_read(args.cert))
-        try:
-            diagrams = replay(cert)
-        except MoveError as err:
-            print(f"vknots: invalid certificate: {err}", file=sys.stderr)
-            return EXIT_INVALID_CERT
-        for d in diagrams:
-            print(render_gauss(d))
-        if canonical_key(diagrams[-1]) != canonical_key(cert.end):
-            print("vknots: invalid certificate: end mismatch", file=sys.stderr)
-            return EXIT_INVALID_CERT
-        return EXIT_OK
-
-    if cmd == "validate":
-        cert = parse_certificate(_read(args.cert))
-        report = validate_certificate(cert, args.claim)
-        print(report.record())
-        return EXIT_OK if report.ok else EXIT_INVALID_CERT
-
-    if cmd == "sum":
-        print(render_gauss(connected_sum(parse_gauss(args.left), parse_gauss(args.right))))
-        return EXIT_OK
-
-    if cmd == "closure":
-        print(render_gauss(closure(parse_gauss(args.code))))
-        return EXIT_OK
-
-    if cmd == "cut":
-        print(render_gauss(cut(parse_gauss(args.code), args.component, args.arc)))
-        return EXIT_OK
-
-    if cmd == "inverse":
-        print(render_gauss(inverse(parse_gauss(args.code))))
-        return EXIT_OK
-
-    if cmd == "mirror":
-        print(render_gauss(mirror(parse_gauss(args.code), args.mode)))
-        return EXIT_OK
-
-    if cmd == "reverse":
-        print(render_gauss(reverse(parse_gauss(args.code))))
-        return EXIT_OK
-
-    if cmd == "search-slice":
-        outcome = search_slice(parse_gauss(args.code), _budget(args))
-        return _emit_search(outcome, args.out)
-
-    if cmd == "search-equiv":
-        outcome = search_equivalent(
-            parse_gauss(args.left), parse_gauss(args.right), _budget(args)
-        )
-        return _emit_search(outcome, args.out)
-
-    if cmd == "reduce":
-        best, bound = reduce_diagram(parse_gauss(args.code), _budget(args))
-        print(render_gauss(best))
-        print(f"crossings={best.n_crossings} genus_bound={bound}")
-        return EXIT_OK
-
-    if cmd == "demo":
-        return _demo_kishino(args.claim)
-
-    raise AssertionError(f"unhandled command {cmd}")
+def _info(args) -> int:
+    d = parse_gauss(args.code)
+    report = carter_report(closure(d) if d.long else d)
+    print(
+        f"crossings={d.n_crossings} components={d.n_components} "
+        f"writhe={d.writhe} genus={report.genus}"
+    )
+    print(report.record())
+    return EXIT_OK
 
 
-def _emit_search(outcome, out_path) -> int:
+def _canon(args) -> int:
+    print(canonical_key(parse_gauss(args.code)))
+    return EXIT_OK
+
+
+def _apply(args) -> int:
+    cert = parse_certificate(_read(args.cert))
+    try:
+        diagrams = replay(cert)
+    except MoveError as err:
+        print(f"vknots: invalid certificate: {err}", file=sys.stderr)
+        return EXIT_INVALID_CERT
+    for d in diagrams:
+        print(render_gauss(d))
+    if canonical_key(diagrams[-1]) != canonical_key(cert.end):
+        print("vknots: invalid certificate: end mismatch", file=sys.stderr)
+        return EXIT_INVALID_CERT
+    return EXIT_OK
+
+
+def _validate(args) -> int:
+    cert = parse_certificate(_read(args.cert))
+    report = validate_certificate(cert, args.claim)
+    print(report.record())
+    return EXIT_OK if report.ok else EXIT_INVALID_CERT
+
+
+def _reduce(args) -> int:
+    best, bound = reduce_diagram(parse_gauss(args.code), _budget(args))
+    print(render_gauss(best))
+    print(f"crossings={best.n_crossings} genus_bound={bound}")
+    return EXIT_OK
+
+
+def _search(args, search, *codes) -> int:
+    """Run `search` on the diagrams of `codes`; print its record and any certificate."""
+    outcome = search(*map(parse_gauss, codes), _budget(args))
     print(outcome.record())
     if outcome.certificate is not None:
         text = render_certificate(outcome.certificate)
-        if out_path:
-            with open(out_path, "w") as fh:
+        if args.out:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
@@ -261,18 +225,14 @@ def _data(name: str) -> str:
     return (resources.files("vknots") / "data" / name).read_text()
 
 
-def _demo_kishino(claim: str) -> int:
+def _demo(args) -> int:
     code = _data("kishino.gauss").strip()
-    cert_file = (
-        "kishino_concordance.cert"
-        if claim == "concordance"
-        else "kishino_slice_disk.cert"
-    )
-    cert = parse_certificate(_data(cert_file))
+    # kishino_concordance.cert or kishino_slice_disk.cert
+    cert = parse_certificate(_data(f"kishino_{args.claim.replace('-', '_')}.cert"))
     print(f"kishino={code}")
     for d in replay(cert):
         print(render_gauss(d))
-    report = validate_certificate(cert, claim)
+    report = validate_certificate(cert, args.claim)
     print(report.record())
     return EXIT_OK if report.ok else EXIT_INVALID_CERT
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from vknots import GaussDiagram, apply_move_with_inverse, enumerate_moves, parse_gauss
+from vknots.cli import build_parser
 
 KINK = "O1+U1+"
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -18,6 +20,14 @@ VIRTUAL_TREFOIL = "O1+U2+U1+O2+"
 KISHINO = "O1+U2-U1+O2-U3-O4+O3-U4+"
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_subcommands() -> dict:
+    """The parser of each `vknots` subcommand, by name."""
+    (action,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
 
 
 def run_cli(*args):

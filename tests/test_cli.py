@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import vknots.cli
 from vknots import SearchBudget, parse_gauss, render_certificate, search_equivalent
 from vknots.cli import _budget, build_parser
 
-from .conftest import CORPUS, KISHINO, TREFOIL, VIRTUAL_TREFOIL
+from .conftest import CORPUS, KISHINO, TREFOIL, VIRTUAL_TREFOIL, cli_subcommands
 from .conftest import run_cli as run
 
 KISHINO_CERT = f"""\
@@ -185,9 +186,45 @@ class TestSearch:
         assert err == "vknots: interrupted\n"
         assert "Traceback" not in err
 
-    def test_budget_flag_defaults_are_search_budget_defaults(self):
-        args = build_parser().parse_args(["search-equiv", "O1+U1+", "()"])
-        assert _budget(args) == SearchBudget()
+    @pytest.mark.parametrize(
+        "argv,default,cobordism",
+        [(["search-slice", "O1+U1+"], SearchBudget(max_saddles=1, max_deaths=1), True),
+         (["search-equiv", "O1+U1+", "()"], SearchBudget(), False),
+         (["reduce", "O1+U1+"], SearchBudget(), False)],
+        ids=["search-slice", "search-equiv", "reduce"],
+    )
+    def test_budget_flag_defaults_are_search_budget_defaults(self, argv, default, cobordism):
+        args = build_parser().parse_args(argv)
+        assert _budget(args) == default
+        every_cap = {"--" + f.name.replace("_", "-") for f in fields(SearchBudget)}
+        cobordism_caps = {"--max-saddles", "--max-births", "--max-deaths"}
+        flags = {
+            flag for action in cli_subcommands()[argv[0]]._actions
+            for flag in action.option_strings if flag.startswith("--max-")
+        }
+        assert flags == (every_cap if cobordism else every_cap - cobordism_caps)
+        # each flag sets its own field of the budget
+        caps = {flag: 10 + i for i, flag in enumerate(sorted(flags))}
+        args = build_parser().parse_args(
+            argv + [word for flag, cap in caps.items() for word in (flag, str(cap))]
+        )
+        set_caps = {flag[2:].replace("-", "_"): cap for flag, cap in caps.items()}
+        assert _budget(args) == replace(default, **set_caps)
+
+    @pytest.mark.parametrize(
+        "args,value",
+        [(("cut", "O1+U1+", "--arc", "\u0661"), "\u0661"),
+         (("reduce", "O1+U1+", "--max-nodes", "1_000"), "1_000")],
+        ids=["arabic-indic-digit", "underscore-grouping"],
+    )
+    def test_integer_flags_take_ascii_digits(self, args, value):
+        r = run(*args)
+        assert r.returncode == 3
+        errors = [ln for ln in r.stderr.splitlines() if "error:" in ln]
+        assert len(errors) == 1
+        # the child may print a non-ASCII value escaped, by its locale
+        assert repr(value) in errors[0] or ascii(value) in errors[0]
+        assert "Traceback" not in r.stderr
 
     def test_reduce(self):
         r = run("reduce", "O1+U1+O2-U2-", "--max-nodes", "2000")
