@@ -37,9 +37,19 @@ refined one position at a time, keeping only the partial ones tied on
 the least segment so far; of each component tried, only the rotations
 opening with its least first int are encoded.  When several full
 candidates tie (a symmetric diagram), the smallest (order, rotations)
-wins, so the iso is well defined.  The winning segments are written as
+wins, so the iso is well defined.
+
+The winning segments have two writers.  `canonical_key` writes them as
 text by `diagram`'s Gauss-code writer, the one `render_gauss` uses, so
-a key is the relabeled render of the normal form.
+a key is the relabeled render of the normal form.  `compact_key` writes
+the same segments as bytes, one byte per endpoint int, a 0 closing each
+component and a leading 1 marking a long diagram (a wider form, opened
+by a 3, once an int passes 255, beyond 63 crossings); `parse_compact`
+builds the diagram back from those bytes.  Two diagrams share a compact
+key exactly when they share a text key.  The searches hold their states
+by compact key, about a third of the text's length.  Every nonempty
+compact key ends in a 0, which is what lets a search append to it what
+else it keys a state by (see `search._partition_tag`).
 """
 
 from __future__ import annotations
@@ -84,6 +94,61 @@ def _key_and_order(components, sign_map: dict, long: bool) -> tuple[str, tuple[i
     canonical component i."""
     order, _, _, segments = _best_candidate(components, sign_map, long)
     return _write_gauss(segments, long), order
+
+
+def compact_key(d: GaussDiagram) -> bytes:
+    """The compact key of `d`: equal for two diagrams exactly when their
+    `canonical_key`s are."""
+    return _compact_key_and_order(d.components, d._sign_map, d.long)[0]
+
+
+def _compact_key_and_order(
+    components, sign_map: dict, long: bool
+) -> tuple[bytes, tuple[int, ...]]:
+    """`_key_and_order` with the compact key in place of the text one."""
+    order, _, _, segments = _best_candidate(components, sign_map, long)
+    return _write_compact(segments, long), order
+
+
+def _write_compact(segments: list[list[int]], long: bool) -> bytes:
+    """The compact key of the winning segments: one byte per endpoint
+    int, each component closed by a 0, after a leading 1 if the diagram
+    is long.  Past 63 crossings an int needs more than a byte, and the
+    key is the wide form: a 3, then width * 2 + long, then each int and
+    each terminator as `width` big-endian bytes."""
+    ints = [1] if long else []
+    for seg in segments:
+        ints += seg
+        ints.append(0)
+    try:
+        return bytes(ints)
+    except ValueError:
+        width = (max(ints).bit_length() + 7) // 8
+        return bytes((3, width * 2 + long)) + b"".join(
+            v.to_bytes(width, "big") for v in ints[long:]
+        )
+
+
+def parse_compact(key: bytes) -> GaussDiagram:
+    """The diagram a compact key encodes, components in canonical order
+    and crossings numbered as in the key: `parse_gauss` of the text key."""
+    if key[:1] == b"\x03":
+        width, long = divmod(key[1], 2)
+        ints = [int.from_bytes(key[i:i + width], "big") for i in range(2, len(key), width)]
+    else:
+        long = key[:1] == b"\x01"
+        ints = key[long:]
+    components: list[tuple] = []
+    signs: dict[int, int] = {}
+    seg: list[tuple[int, int]] = []
+    for v in ints:
+        if v:
+            seg.append((v >> 2, v >> 1 & 1))
+            signs[v >> 2] = 1 if v & 1 else -1
+        else:
+            components.append(tuple(seg))
+            seg = []
+    return GaussDiagram(tuple(components), tuple(sorted(signs.items())), bool(long))
 
 
 def canonicalize(d: GaussDiagram) -> CanonicalResult:

@@ -59,7 +59,9 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        # the root prog, as on every error line: a subcommand's prog is
+        # "vknots cut"
+        print(f"vknots: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

@@ -19,13 +19,14 @@ budget to be reported).
 A child is never built as a `GaussDiagram` to be keyed: the applier
 core returns its endpoint lists and sign table, the endpoint check
 every diagram gets runs on those lists, and the child is keyed exactly
-once from them, uncached, so no search fills the module-level
-`canonical_key` cache; only roots and goals go through it.  In every
-search a state *is* its canonical key: the frontier and the parent
-pointers hold keys, and a diagram is parsed back from its key only when
-the state is popped for expansion (roots too; most admitted states
-never are) or lies on a found chain.  The one child diagram built is a
-reduction candidate no larger than the best seen, for its Carter genus.
+once from them, uncached.  In every search a state *is* its compact
+key (`canonical.compact_key`, one byte per endpoint): the frontier,
+the dedup tables and the parent pointers hold compact keys, roots and
+goal included, so no search reaches the text `canonical_key` or its
+cache.  A diagram is built back from its key only when the state is
+popped for expansion (roots too; most admitted states never are) or
+lies on a found chain.  The one child diagram built is a reduction
+candidate no larger than the best seen, for its Carter genus.
 
 The engine keeps the parent pointers: a record (parent seq, move index,
 class, key) names the move that made its state by its index among the
@@ -34,16 +35,18 @@ expanded, so a found chain is rebuilt by listing again the moves of
 that class of each diagram on it, only up to the recorded index, then
 translated onto the input.  A record is written when its state is
 popped for expansion, since a chain passes through expanded states
-only; a queued state is one heap entry that carries its parent seq and
-move index (sparse-memory graph search, Zhou and Hansen, IJCAI 2003).
-Most admitted states are never popped: the trefoil probe at crossings
-<= 7 under 50,000 nodes queues 50,106 states and pops 277.
-Small tuples (cobordism counters, dedup vectors, surface partitions)
-take only a handful of distinct values, and each search shares one
-tuple per value among its states.
+only (sparse-memory graph search, Zhou and Hansen, IJCAI 2003).  Most
+admitted states are never popped: the trefoil probe at crossings <= 7
+under 50,000 nodes queues 50,106 states and pops 277.  So a queued
+state is one bytes record, a fixed-width header (size, seq, parent
+seq, move index, tag) and then its compact key, and the header
+compares as bytes in (size, seq) order.  The tag numbers the state's
+depth, class, cobordism counters and surface partition, which take
+only a handful of distinct values, in a table of the search; the
+dedup vectors are likewise shared, one tuple per value.
 
 All three searches deduplicate states by one rule, per frontier, on
-(canonical key, spent cobordism counters, depth) with dominance: a state
+(compact key, spent cobordism counters, depth) with dominance: a state
 is skipped when an already-admitted state has the same key and
 componentwise smaller-or-equal counters and depth, since any completion
 of the new state also completes the old one.  A key first reached
@@ -60,7 +63,7 @@ different partitions admit different completions.
 Expansion is deterministic best-first on crossing count plus component
 count, biased toward simplification (deletion moves are enumerated
 first).  All three searches run through the one loop of `_BestFirst`,
-which owns the heap entries, popping and parsing, the caps, expansion
+which owns the records, popping and decoding, the caps, expansion
 and pruning, the keying, surface labels and cobordism counters of
 children, the parent pointers, dedup and the rebuilding of a found
 chain, and leaves each search its dedup identity and goal test.
@@ -85,11 +88,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import struct
 import time
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .canonical import _key_and_order, canonical_key
-from .canonical import canonicalize  # noqa: F401  (bench/tracer.py wraps it)
+from .canonical import _compact_key_and_order, compact_key, parse_compact
+from .canonical import canonical_key, canonicalize  # noqa: F401  (bench/tracer.py wraps them)
 from .certificates import CobordismCertificate, _translate_steps, advance_classes
 from .diagram import DiagramError, GaussDiagram, _check_endpoints, parse_gauss
 from .moves import (
@@ -146,11 +151,14 @@ class SearchOutcome:
 # -- the engine ----------------------------------------------------------
 
 
-def _partition_tag(classes: tuple[int, ...]) -> str:
-    """Dedup suffix for a nontrivial canonical partition."""
+def _partition_tag(classes: tuple[int, ...]) -> bytes:
+    """Dedup suffix for a nontrivial canonical partition: a 2, below any
+    endpoint int, then the classes in ASCII digits and commas.  A compact
+    key is empty or ends in a 0, so a tagged identity never equals a
+    key, and the last 2 of one opens its tag."""
     if len(set(classes)) <= 1:
-        return ""
-    return "|" + ",".join(map(str, classes))
+        return b""
+    return b"\x02" + ",".join(map(str, classes)).encode()
 
 
 _COST = {"saddle": (1, 0, 0), "birth": (0, 1, 0), "death": (0, 0, 1)}
@@ -175,34 +183,62 @@ _SIZE_CLASSES = (
 )
 _WHOLE = ((ALL_KINDS, 0),)
 
+# A queued state is one bytes record: this header, then its compact key.
+# Its fields are size, seq, parent seq, move index and tag; fixed-width
+# and big-endian, so records compare as bytes in (size, seq) order.  No
+# field can overflow: each would need more memory than any machine has
+# (a diagram of 2**32 crossings, a listing of 2**31 moves, 2**32 tags)
+# or 2**63 pushes.
+_HEADER = struct.Struct(">IQqiI")
+
+
+class _Pop(NamedTuple):
+    """A popped state, unpacked from its record: crossings plus
+    components (plus the growth of its class), seq, depth, the class of
+    moves it expands, cobordism counters, surface labels, compact key."""
+
+    size: int
+    seq: int
+    depth: int
+    cls: int
+    spent: tuple[int, int, int]
+    labels: tuple[int, ...]
+    key: bytes
+
+
 # A root is admitted and queued as a child of this stand-in for a popped
-# state, one level above depth 0, by the link (None, None) of no move.
-_NO_STATE = (None, None, -1)
+# state, one level above depth 0, by the link (-1, -1) of no move.
+_NO_STATE = _Pop(0, -1, -1, 0, (0, 0, 0), (0,), b"")
+_ROOT_LINK = (-1, -1)
+_UNKNOT = compact_key(parse_gauss("()"))
 
 
 class _BestFirst:
     """The best-first loop that all three searches run through.
 
-    There is one frontier per root diagram, a heap of states, each one
-    entry (size, seq, depth, key, parent, index, cls, spent, labels)
-    popped in (size, seq) order.  Size is crossings plus components, key
-    the state's canonical key; its link (parent, index) names the popped
-    state that made it by seq and the move by its index among the moves
-    that pop listed; cls is the class of moves the entry expands, spent
-    and labels are its cobordism counters and surface labels.  `states`
-    pops one state from each nonempty frontier in turn, writes its
-    parent record (parent, index, cls, key) and parses its key; once the
-    search is done with the popped state, it queues the state again,
-    with the same depth, key, link, counters and labels, for the next
-    class if `kinds` leaves it any move, at the size of that class's
-    children.  The classes are `_SIZE_CLASSES`, or `_WHOLE` for a
-    cobordism search, which so never re-queues a state.
+    A state is its compact key everywhere: in the roots, the dedup
+    tables and the parent records.  There is one frontier per root
+    diagram, a heap of records, each one bytes object: the `_HEADER`
+    fields (size, seq, parent, index, tag), then the state's key, so the
+    heap pops in (size, seq) order.  Size is crossings plus components;
+    the link (parent, index) names the popped state that made this one
+    by seq and the move by its index among the moves that pop listed;
+    tag numbers the state's (depth, cls, spent, labels) in a table this
+    search keeps (`tag`), cls being the class of moves the record
+    expands, spent and labels its cobordism counters and surface labels.
+    `states` pops one record from each nonempty frontier in turn, writes
+    its parent record (parent, index, cls, key) and builds its diagram
+    from its key; once the search is done with the popped state, it
+    queues the state again, with the same depth, key, link, counters and
+    labels, for the next class if `kinds` leaves it any move, at the
+    size of that class's children.  The classes are `_SIZE_CLASSES`, or
+    `_WHOLE` for a cobordism search, which so never re-queues a state.
 
     `children` lists the `kinds` of a popped state's class, prunes them
     before applying them and hands on each finished child (link, key,
     size, spent, labels, comps, signs); `admit` deduplicates a child and
     `push` queues it for its first class, one level deeper than its
-    parent, writing nothing but its heap entry; `chain` follows the
+    parent, writing nothing but its record; `chain` follows the parent
     records and `line` rebuilds them.  Root `side` is admitted and
     pushed as seq `side`.  A search supplies only its dedup identity and
     its goal test.  The caps on crossings and components are the
@@ -213,8 +249,8 @@ class _BestFirst:
     vectors only while incomparable ones coexist for the identity.  A
     path of length L expands L distinct prefixes, so when max_depth >=
     max_nodes the depth cap can never bind and depth is dropped from the
-    vector.  `share` keeps one tuple per distinct value for the whole
-    search, for the vectors and any other small tuple its states repeat.
+    vector.  `share` keeps one tuple per distinct vector for the whole
+    search.
     """
 
     def __init__(
@@ -227,21 +263,23 @@ class _BestFirst:
         self.cap_c = max(budget.max_components, *(r.n_components for r in roots))
         self.cobordism = cobordism
         self.classes = _WHOLE if cobordism else _SIZE_CLASSES
-        self.frontiers: list[list[tuple]] = [[] for _ in roots]
+        self.frontiers: list[list[bytes]] = [[] for _ in roots]
         self.parents: dict[int, tuple] = {}  # seq -> (parent, index, cls, key)
+        self.tags: dict[tuple, int] = {}  # (depth, cls, spent, labels) -> tag
+        self.tagged: list[tuple] = []  # tag -> (depth, cls, spent, labels)
         self.seq = 0
         self.nodes = 0
         self.status = "exhausted"
         self.track_depth = budget.max_depth < budget.max_nodes
         # ident -> its vector, or a tuple of incomparable vectors
-        self.tables: list[dict[str, tuple]] = [{} for _ in roots]
+        self.tables: list[dict[bytes, tuple]] = [{} for _ in roots]
         self.tuples: dict[tuple, tuple] = {}
         self.hits = 0
-        self.root_keys = tuple(canonical_key(r) for r in roots)
+        self.root_keys = tuple(map(compact_key, roots))
         for side, (root, key) in enumerate(zip(roots, self.root_keys)):
             size, zero = root.n_crossings + root.n_components, (0, 0, 0)
             self.admit(side, _NO_STATE, key, zero)
-            self.push(side, _NO_STATE, ((None, None), key, size, zero, (0,)))
+            self.push(side, _NO_STATE, (_ROOT_LINK, key, size, zero, (0,)))
 
     def outcome(self, cert: CobordismCertificate | None) -> SearchOutcome:
         """The run's outcome: "found" with `cert`, else the loop's status."""
@@ -253,14 +291,30 @@ class _BestFirst:
         """The one tuple equal to `t` that this search keeps."""
         return self.tuples.setdefault(t, t)
 
+    def tag(self, depth: int, cls: int, spent: tuple, labels: tuple) -> int:
+        """The number of (depth, cls, spent, labels) in this search's
+        table, entered on first use."""
+        entry = (depth, cls, spent, labels)
+        tag = self.tags.setdefault(entry, len(self.tagged))
+        if tag == len(self.tagged):
+            self.tagged.append(entry)
+        return tag
+
+    def queue(
+        self, heap: list, size: int, link: tuple[int, int], tag: int, key: bytes
+    ) -> None:
+        """Push the record of a state onto `heap` as the next seq."""
+        heapq.heappush(heap, _HEADER.pack(size, self.seq, *link, tag) + key)
+        self.seq += 1
+
     def admit(
-        self, side: int, state: tuple, ident: str, spent: tuple[int, int, int]
+        self, side: int, state: _Pop, ident: bytes, spent: tuple[int, int, int]
     ) -> bool:
         """Whether a child of the popped `state` with dedup identity
         `ident` and counters `spent` is new on frontier `side`: no state
         admitted there has the same identity and counters and depth no
         larger.  A skip counts as a dedup hit."""
-        vec = (*spent, state[2] + 1 if self.track_depth else 0)
+        vec = (*spent, state.depth + 1 if self.track_depth else 0)
         table = self.tables[side]
         old = table.get(ident)
         if old is None:
@@ -275,31 +329,28 @@ class _BestFirst:
         table[ident] = (*kept, self.share(vec)) if kept else self.share(vec)
         return True
 
-    def push(self, side: int, state: tuple, child: tuple) -> None:
+    def push(self, side: int, state: _Pop, child: tuple) -> None:
         """Queue a `child` of the popped `state`, as `children` yields it,
-        to frontier `side` for its first class; only the heap entry is
-        written, and `states` keeps the record when it pops the entry."""
-        (parent, index), key, size, spent, labels = child[:5]
-        heapq.heappush(self.frontiers[side], (
-            size, self.seq, state[2] + 1, key, parent, index, 0,
-            self.share(spent), self.share(labels),
-        ))
-        self.seq += 1
+        to frontier `side` for its first class; only its record is
+        written, and `states` keeps the parent record when it pops it."""
+        link, key, size, spent, labels = child[:5]
+        tag = self.tag(state.depth + 1, 0, spent, labels)
+        self.queue(self.frontiers[side], size, link, tag, key)
 
-    def chain(self, link: tuple, key: str) -> list[tuple[int, int, str]]:
+    def chain(self, link: tuple, key: bytes) -> list[tuple[int, int, bytes]]:
         """The parent records (parent, index, key) from a root to the
         state keyed `key` that `link` (parent seq, move index) made; none
-        for a root, whose link is (None, None)."""
+        for a root, whose link is (-1, -1)."""
         out = []
         parent, index = link
-        while parent is not None:
+        while parent >= 0:
             out.append((parent, index, key))
             parent, index, _, key = self.parents[parent]
         return out[::-1]
 
     def states(self, stop_when_overfull: bool = True):
         """Yield (side, state, diagram) for each popped state below the
-        depth cap, the diagram parsed from the state's key.
+        depth cap: the state a `_Pop`, the diagram built from its key.
 
         Every pop counts as a node, also of a state at the depth cap,
         which is dropped before any work is spent on it.  The run stops
@@ -323,23 +374,23 @@ class _BestFirst:
                 if self.nodes >= budget.max_nodes:
                     self.status = "budget-hit"
                     return
-                state = heapq.heappop(heap)
+                record = heapq.heappop(heap)
                 self.nodes += 1
-                _, sq, depth, key, parent, index, cls, spent, labels = state
+                size, sq, parent, index, tag = _HEADER.unpack_from(record)
+                depth, cls, spent, labels = self.tagged[tag]
                 if depth >= budget.max_depth:
                     continue
+                key = record[_HEADER.size:]
                 self.parents[sq] = (parent, index, cls, key)
-                diag = parse_gauss(key)
-                yield side, state, diag
+                diag = parse_compact(key)
+                yield side, _Pop(size, sq, depth, cls, spent, labels, key), diag
                 # The caller is done with this class's children: the next
                 # class waits at the size of its children.
                 cls += 1
                 if cls < len(classes) and self.kinds(diag, spent, cls):
                     size = diag.n_crossings + diag.n_components + classes[cls][1]
-                    heapq.heappush(heap, (
-                        size, self.seq, depth, key, parent, index, cls, spent, labels
-                    ))
-                    self.seq += 1
+                    tag = self.tag(depth, cls, spent, labels)
+                    self.queue(heap, size, (parent, index), tag, key)
 
     def kinds(
         self, diag: GaussDiagram, spent: tuple[int, int, int], cls: int
@@ -363,15 +414,15 @@ class _BestFirst:
         return kinds & self.classes[cls][0]
 
     def line(
-        self, side: int, chain: list[tuple[int, int, str]]
+        self, side: int, chain: list[tuple[int, int, bytes]]
     ) -> tuple[list[GaussDiagram], list[Move]]:
         """The reference line (refs, steps) of a chain of parent records
         (parent, index, key) from the root of frontier `side`: the
-        diagrams parsed from the keys, and the move `children` numbered
+        diagrams built from the keys, and the move `children` numbered
         each index from the diagram before it, drawn from the `kinds` of
         the class the parent's pop expanded, with the cobordism counters
         carried forward from (0, 0, 0); the listing stops at the index."""
-        refs = [parse_gauss(self.root_keys[side])]
+        refs = [parse_compact(self.root_keys[side])]
         steps: list[Move] = []
         spent = (0, 0, 0)
         for parent, index, key in chain:
@@ -379,12 +430,12 @@ class _BestFirst:
             moves = _iter_moves(refs[-1], self.kinds(refs[-1], spent, cls))
             steps.append(next(itertools.islice(moves, index, None)))
             spent = _spend(spent, steps[-1].kind)
-            refs.append(parse_gauss(key))
+            refs.append(parse_compact(key))
         return refs, steps
 
-    def children(self, state: tuple, diag: GaussDiagram):
+    def children(self, state: _Pop, diag: GaussDiagram):
         """Yield (link, key, size, spent, labels, comps, signs) for each
-        child of the popped `state`, parsed as `diag`, by a move of the
+        child of the popped `state`, built as `diag`, by a move of the
         state's class, in enumeration order: link is (state's seq, index),
         index the move's position in the enumeration of `kinds(diag,
         spent, cls)`, which `line` replays, size is crossings plus
@@ -402,7 +453,7 @@ class _BestFirst:
         first appearance, so they are isomorphism-invariant.  R-moves
         keep the labels and the component count, which the cap already
         fits, so only cobordism moves are labelled."""
-        _, sq, _, _, _, _, cls, spent, state_labels = state
+        _, sq, _, cls, spent, state_labels, _ = state
         kinds = self.kinds(diag, spent, cls)
         tables = _SiteTables(diag)
         for i, m in enumerate(enumerate_moves(diag, kinds=kinds, tables=tables)):
@@ -413,7 +464,7 @@ class _BestFirst:
                     continue
             comps, signs, _ = _apply_core(diag, m, tables)
             _check_endpoints(comps, signs)
-            key, order = _key_and_order(comps, signs, diag.long)
+            key, order = _compact_key_and_order(comps, signs, diag.long)
             if self.cobordism:
                 first: dict[int, int] = {}
                 labels = tuple(first.setdefault(labels[k], len(first)) for k in order)
@@ -438,15 +489,14 @@ def search_slice(d: GaussDiagram, budget: SearchBudget) -> SearchOutcome:
     if d.n_components != 1:
         raise DiagramError("search_slice needs a one-component knot")
     run = _BestFirst(budget, (d,), cobordism=True)
-    goal_key = canonical_key(parse_gauss("()"))
-    if run.root_keys[0] == goal_key:
+    if run.root_keys[0] == _UNKNOT:
         return run.outcome(CobordismCertificate(d, (), parse_gauss("()")))
 
     for _, state, diag in run.states():
         for child in run.children(state, diag):
             link, key, _, spent, labels, _, _ = child
             s, b, dd = spent
-            if key == goal_key and s == b + dd:
+            if key == _UNKNOT and s == b + dd:
                 refs, steps = run.line(0, run.chain(link, key))
                 translated = _translate_steps(refs, tuple(steps), d)
                 cert = CobordismCertificate(d, tuple(translated), refs[-1])
@@ -493,7 +543,7 @@ def search_equivalent(
     # made[side]: key -> link (parent seq, move index) of its latest
     # admission on that side.  The parent was popped, so `run.chain`
     # reaches it, while the state itself may still be queued.
-    made = tuple({key: (None, None)} for key in run.root_keys)
+    made = tuple({key: _ROOT_LINK} for key in run.root_keys)
     for side, state, diag in run.states():
         for child in run.children(state, diag):
             link, key, _, spent, _, _, _ = child

@@ -13,7 +13,14 @@ from vknots import (
     parse_gauss,
     render_gauss,
 )
-from vknots.canonical import _key_and_order, map_arc, unmap_arc
+from vknots.canonical import (
+    _compact_key_and_order,
+    _key_and_order,
+    compact_key,
+    map_arc,
+    parse_compact,
+    unmap_arc,
+)
 
 from .conftest import CORPUS, KISHINO, random_diagram, scrambled
 
@@ -142,28 +149,80 @@ class TestIso:
                     assert unmap_arc(res.iso, d, nc, na) == (comp, arc)
 
 
+def _pinned_corpus():
+    """The corpus, 1,000 random diagrams each followed by a scrambled
+    copy, and after each of these its children by every move but r2
+    insertions: over 100,000 diagrams."""
+    rng = random.Random(20261019)
+    diagrams = [parse_gauss(text) for text in CORPUS]
+    for _ in range(1000):
+        d = random_diagram(rng, max_crossings=5)
+        diagrams += [d, scrambled(d, rng)]
+    for d in diagrams:
+        yield d
+        yield from (apply_move(d, m) for m in enumerate_moves(d) if m.kind != "r2_insert")
+
+
 class TestPinnedOutputs:
-    # sha256 of _key_and_order, canonicalize's key and its iso, on the
-    # diagrams below; captured before the encoder was rewritten, so the
-    # keys, the winning component orders and the isos stay as they were.
+    # sha256 of _key_and_order, canonicalize's key and its iso, on
+    # `_pinned_corpus`; captured before the encoder was rewritten, so
+    # the keys, the winning component orders and the isos stay as they
+    # were.
     CANONICAL_SHA256 = "13e133f54d68b346c5716864abf2b2c400b17be74e2597e640a9406c995cc542"
 
     def test_canonical_outputs_are_pinned(self):
-        rng = random.Random(20261019)
-        diagrams = [parse_gauss(text) for text in CORPUS]
-        for _ in range(1000):
-            d = random_diagram(rng, max_crossings=5)
-            diagrams += [d, scrambled(d, rng)]
         h = hashlib.sha256()
         count = 0
-        for d in diagrams:
-            children = [
-                apply_move(d, m) for m in enumerate_moves(d) if m.kind != "r2_insert"
-            ]
-            for x in [d, *children]:
-                res = canonicalize(x)
-                keyed = _key_and_order(x.components, x._sign_map, x.long)
-                h.update(repr((keyed, res.key, res.iso)).encode() + b"\n")
-                count += 1
+        for x in _pinned_corpus():
+            res = canonicalize(x)
+            keyed = _key_and_order(x.components, x._sign_map, x.long)
+            h.update(repr((keyed, res.key, res.iso)).encode() + b"\n")
+            count += 1
         assert count > 100_000
         assert h.hexdigest() == self.CANONICAL_SHA256
+
+
+# 64 kinks: 64 crossings, the fewest that need the wide compact form
+WIDE = "".join(f"O{i}+U{i}+" for i in range(1, 65))
+
+
+class TestCompactKey:
+    def test_agrees_with_text_key_over_pinned_corpus(self):
+        # The compact writer renders the same winning candidate as the
+        # text one, so it comes with the same order, decodes to the
+        # parse of the text key, and two diagrams share a compact key
+        # exactly when they share a text key.
+        compact_of: dict[str, bytes] = {}
+        text_of: dict[bytes, str] = {}
+        for x in _pinned_corpus():
+            text, order = _key_and_order(x.components, x._sign_map, x.long)
+            compact, compact_order = _compact_key_and_order(
+                x.components, x._sign_map, x.long
+            )
+            assert compact_order == order
+            if text not in compact_of:
+                assert parse_compact(compact) == parse_gauss(text)
+            assert compact_of.setdefault(text, compact) == compact
+            assert text_of.setdefault(compact, text) == text
+        assert len(compact_of) > 10_000
+
+    def test_special_forms(self):
+        codes = ["", "()", "();()", "L:", "L:();()"]
+        keys = [compact_key(parse_gauss(code)) for code in codes]
+        assert keys == [b"", b"\x00", b"\x00\x00", b"\x01\x00", b"\x01\x00\x00"]
+        for code, key in zip(codes, keys):
+            assert parse_compact(key) == parse_gauss(code)
+
+    def test_wide_form(self, rng):
+        # Past 63 crossings an endpoint int needs two bytes.
+        narrow = compact_key(parse_gauss(WIDE.replace("O64+U64+", "")))
+        assert narrow[0] >= 4 and len(narrow) == 2 * 63 + 1
+        for code in (WIDE, "L:" + WIDE, WIDE + ";()", "L:();" + WIDE):
+            d = parse_gauss(code)
+            key = compact_key(d)
+            assert key[0] == 3 and key[1] == 2 * 2 + d.long
+            assert parse_compact(key) == parse_gauss(canonical_key(d))
+            assert compact_key(scrambled(d, rng)) == key
+        assert compact_key(parse_gauss(WIDE)) != compact_key(parse_gauss("L:" + WIDE))
+        flipped = parse_gauss(WIDE.replace("O64+U64+", "O64-U64-"))
+        assert compact_key(flipped) != compact_key(parse_gauss(WIDE))

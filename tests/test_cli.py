@@ -169,6 +169,20 @@ class TestSearch:
         assert r.stderr.startswith("vknots: error: ")
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [("search-slice", "O1+U1+"), ("search-equiv", "O1+U2-U1+O2-", "()"),
+         ("reduce", "O1+U1+O2-U2-")],
+        ids=["search-slice", "search-equiv", "reduce"],
+    )
+    def test_huge_budget_runs(self, args):
+        # No budget value reaches a field of a queued state's record.
+        flags = {f"--{f.name.replace('_', '-')}" for f in fields(SearchBudget)}
+        flags &= {flag for a in cli_subcommands()[args[0]]._actions
+                  for flag in a.option_strings}
+        r = run(*args, *(word for flag in sorted(flags) for word in (flag, str(10**30))))
+        assert (r.returncode, r.stderr) == (0, "")
+
     def test_workers_flag_refused(self):
         r = run("search-slice", "O1+U1+", "--workers", "2")
         assert r.returncode == 3
@@ -225,6 +239,20 @@ class TestSearch:
         # the child may print a non-ASCII value escaped, by its locale
         assert repr(value) in errors[0] or ascii(value) in errors[0]
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [(("cut", "O1+U1+", "--arc", "1_000"), "argument --arc: invalid int value: '1_000'"),
+         (("cut", "O1+U1+"), "the following arguments are required: --arc")],
+        ids=["bad-integer", "missing-flag"],
+    )
+    def test_subcommand_usage_error_names_the_program(self, args, error):
+        # a subcommand's usage error reads like every other error line
+        r = run(*args)
+        assert r.returncode == 3
+        errors = [ln for ln in r.stderr.splitlines() if "error:" in ln]
+        assert errors == [f"vknots: error: {error}"]
+        assert r.stderr.startswith(f"usage: vknots {args[0]} ")
 
     def test_reduce(self):
         r = run("reduce", "O1+U1+O2-U2-", "--max-nodes", "2000")

@@ -1,5 +1,6 @@
 """Budgeted search: slice, equivalence, reduce."""
 
+import heapq
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -28,6 +29,7 @@ from vknots import (
     search_slice,
     validate_certificate,
 )
+from vknots.canonical import compact_key, parse_compact
 
 from .conftest import KISHINO, TREFOIL, VIRTUAL_TREFOIL, random_walk, scrambled
 from .oracles import assert_ends_agree
@@ -214,7 +216,7 @@ class TestSearchEquivalent:
 
         def spy(run, *args, **kw):
             for side, entry, diag in states(run, *args, **kw):
-                popped.add(entry[3])
+                popped.add(entry.key)
                 yield side, entry, diag
 
         lines = []
@@ -230,7 +232,7 @@ class TestSearchEquivalent:
         assert out.status == "found"
         [((refs_a, steps_a), (refs_b, steps_b))] = lines
         assert (len(steps_a), len(steps_b)) == steps
-        assert canonical_key(refs_a[-1]) not in popped
+        assert compact_key(refs_a[-1]) not in popped
         assert validate_certificate(out.certificate, "concordance").ok
         assert_ends_agree(render_certificate(out.certificate))
 
@@ -247,7 +249,7 @@ class TestSearchEquivalent:
 
         def spy(run, *args, **kw):
             for side, entry, diag in states(run, *args, **kw):
-                size_class[entry[1]] = entry[6]
+                size_class[entry.seq] = entry.cls
                 yield side, entry, diag
 
         lines = {}
@@ -271,7 +273,7 @@ class TestSearchEquivalent:
         assert [m.kind for m in steps] == ["r1_delete", "r1_insert"]
         first_class = vknots.search._SIZE_CLASSES[0][0]
         assert chain[1][1] >= len(list(enumerate_moves(refs[1], kinds=first_class))) > 0
-        assert canonical_key(apply_move(refs[1], steps[1])) == chain[1][2]
+        assert compact_key(apply_move(refs[1], steps[1])) == chain[1][2]
         assert validate_certificate(out.certificate, "concordance").ok
 
     @pytest.mark.xfail(
@@ -334,17 +336,17 @@ class TestReduce:
     def test_stops_at_max_nodes(self, monkeypatch):
         # The reduction runs without the overfull stop, so only the node
         # cap ends it early; uncapped it runs on past 17,000 states.  Each
-        # popped state is parsed from its key once.
+        # popped state is built from its key once.
         popped = 0
-        parse = vknots.search.parse_gauss
+        parse = vknots.search.parse_compact
 
-        def counted(text):
+        def counted(key):
             nonlocal popped
             popped += 1
             assert popped <= 5, "popped a state past max_nodes"
-            return parse(text)
+            return parse(key)
 
-        monkeypatch.setattr(vknots.search, "parse_gauss", counted)
+        monkeypatch.setattr(vknots.search, "parse_compact", counted)
         budget = SearchBudget(max_crossings=8, max_components=1, max_nodes=5, max_depth=12)
         reduce_diagram(parse_gauss(KISHINO), budget)
         assert popped == 5
@@ -383,8 +385,8 @@ class TestReduce:
 
 class TestCaches:
     def test_searches_leave_canonical_key_cache_small(self):
-        # Children are keyed uncached; only roots, goals and the keys a
-        # found certificate's translation compares reach the cache.
+        # The searches hold compact keys, roots and goal included, and
+        # key them uncached, so none of them reaches the cache.
         canonical_key.cache_clear()
         search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
         search_equivalent(
@@ -395,11 +397,16 @@ class TestCaches:
             SearchBudget(max_crossings=5, max_components=2, max_nodes=500,
                          max_depth=4),
         )
-        assert canonical_key.cache_info().currsize <= 64
+        assert canonical_key.cache_info().currsize == 0
 
 
 def _counters(out):
     return out.status, out.nodes, out.dedup
+
+
+def _compact(text: str) -> bytes:
+    """The compact key the searches hold for the diagram of `text`."""
+    return compact_key(parse_gauss(text))
 
 
 class TestPruningAudit:
@@ -422,7 +429,7 @@ class TestPruningAudit:
             max_crossings=3, max_components=components, max_saddles=2,
             max_births=2, max_deaths=2, max_nodes=10**7, max_depth=10**7,
         )
-        admitted: dict[tuple, list] = {}
+        admitted: dict[tuple, list] = {}  # (compact key, classes) -> spents
         push = vknots.search._BestFirst.push
 
         def spy(run, side, state, child):
@@ -440,7 +447,7 @@ class TestPruningAudit:
             (key, classes, spent) for key, classes, spent in states
             if not any(
                 all(o <= n for o, n in zip(old, spent))
-                for old in admitted.get((key, classes), ())
+                for old in admitted.get((_compact(key), classes), ())
             )
         ]
         assert not uncovered, f"{len(uncovered)} uncovered, e.g. {uncovered[:3]}"
@@ -487,7 +494,7 @@ class TestReduceAudit:
         assert (best.n_crossings, carter_genus(best)) == min(ranks)
         assert min(g for _, g in ranks) <= genus <= carter_genus(best)
         if min(ranks) != (0, 0):  # no early stop
-            assert admitted == {key for key, _, _ in states}
+            assert admitted == {_compact(key) for key, _, _ in states}
 
 
 class TestEquivalenceAudit:
@@ -510,16 +517,16 @@ class TestEquivalenceAudit:
     def test_exhausted_run_expands_every_state_inside_depth_cap(
         self, code, cap, reached, monkeypatch
     ):
-        popped: dict[str, int] = {}  # key -> least depth popped on a's side
+        popped: dict[bytes, int] = {}  # key -> least depth popped on a's side
         states = vknots.search._BestFirst.states
 
         def spy(run, *args, **kw):
             for side, entry, diag in states(run, *args, **kw):
                 if side == 0:
-                    popped[entry[3]] = min(entry[2], popped.get(entry[3], entry[2]))
+                    popped[entry.key] = min(entry.depth, popped.get(entry.key, entry.depth))
                 yield side, entry, diag
 
-        admitted = set()  # keys admitted on a's side
+        admitted = set()  # compact keys admitted on a's side
         admit = vknots.search._BestFirst.admit
 
         def spy_admit(run, side, state, ident, spent):
@@ -534,7 +541,10 @@ class TestEquivalenceAudit:
         budget = SearchBudget(
             max_crossings=cap, max_components=1, max_nodes=10**6, max_depth=3
         )
-        distances = reference_distances(a, budget)
+        distances = {
+            _compact(key): depth
+            for key, depth in reference_distances(a, budget).items()
+        }
         assert len(distances) == reached
         assert search_equivalent(a, parse_gauss("()"), budget).status == "exhausted"
         missed = {
@@ -544,7 +554,7 @@ class TestEquivalenceAudit:
         assert not missed, f"{len(missed)} not expanded at their distance: {missed}"
         # side a admits the children of its states at depth max_depth - 1
         deeper = replace(budget, max_depth=budget.max_depth + 1)
-        assert admitted == set(reference_distances(a, deeper))
+        assert admitted == set(map(_compact, reference_distances(a, deeper)))
 
 
 class TestChildKeying:
@@ -595,16 +605,16 @@ class TestChildKeying:
         # so the insertions of a state are keyed only if the frontier
         # reaches their size before the unknot is found.
         keyed = 0
-        key_and_order = vknots.search._key_and_order
+        key_and_order = vknots.search._compact_key_and_order
 
         def counted(*args):
             nonlocal keyed
             keyed += 1
             return key_and_order(*args)
 
-        monkeypatch.setattr(vknots.search, "_key_and_order", counted)
+        monkeypatch.setattr(vknots.search, "_compact_key_and_order", counted)
         assert reduce_diagram(parse_gauss(code), budget) == (parse_gauss("()"), 0)
-        assert keyed <= bound
+        assert 0 < keyed <= bound
 
     @pytest.mark.parametrize(
         "code", [TREFOIL, VIRTUAL_TREFOIL, "O1+U1+O2-U2-"],
@@ -622,11 +632,11 @@ class TestChildKeying:
         def expand(run):
             keys = set()
             for _, state, diag in run.states():
-                cls, spent = state[6], state[7]
+                cls, spent = state.cls, state.spent
                 listed = enumerate_moves(diag, run.kinds(diag, spent, cls))
                 assert {m.kind for m in listed} <= run.classes[cls][0]
                 for (_, index), key, *_ in run.children(state, diag):
-                    assert canonical_key(apply_move(diag, listed[index])) == key
+                    assert compact_key(apply_move(diag, listed[index])) == key
                     keys.add(key)
             return keys
 
@@ -661,7 +671,7 @@ class TestChildKeying:
 
         def spy(run, *args, **kw):
             for side, entry, diag in states(run, *args, **kw):
-                size, _, depth, key, _, _, cls, _, _ = entry
+                size, depth, key, cls = entry.size, entry.depth, entry.key, entry.cls
                 assert size == diag.n_crossings + diag.n_components + classes[cls][1]
                 fits = [c for c, (_, g) in enumerate(classes)
                         if diag.n_crossings + g <= run.cap_n]
@@ -680,7 +690,7 @@ class TestChildKeying:
 
         def spy(run, *args, **kw):
             for side, entry, diag in states(run, *args, **kw):
-                popped.append(entry[6])
+                popped.append(entry.cls)
                 yield side, entry, diag
 
         monkeypatch.setattr(vknots.search._BestFirst, "states", spy)
@@ -793,10 +803,10 @@ class TestChainRebuild:
                 runs.setdefault(frozenset(run.kinds(d, (0, 0, 0), 0)), run)
         assert len(runs) == 24
         for kinds, run in runs.items():
-            root = parse_gauss(run.root_keys[0])
+            root = parse_compact(run.root_keys[0])
             # the record of the root's pop (seq 0), which expanded the
             # one class of a cobordism search
-            run.parents[0] = (None, None, 0, run.root_keys[0])
+            run.parents[0] = (-1, -1, 0, run.root_keys[0])
             listed = enumerate_moves(root, kinds)
             assert {m.kind for m in listed} <= kinds
             for index, m in enumerate(listed):
@@ -808,8 +818,8 @@ class TestChainRebuild:
             for first, m in enumerate(listed):
                 if m.kind not in ("saddle", "birth", "death"):
                     continue
-                key = canonical_key(apply_move(root, m))
-                reached = parse_gauss(key)
+                key = compact_key(apply_move(root, m))
+                reached = parse_compact(key)
                 spent = vknots.search._spend((0, 0, 0), m.kind)
                 after = enumerate_moves(reached, run.kinds(reached, spent, 0))
                 if after:
@@ -885,7 +895,7 @@ class TestChainRebuild:
             assert len(steps) == len(chain)
             for ref, step, reached in zip(refs, steps, refs[1:]):
                 assert canonical_key(apply_move(ref, step)) == canonical_key(reached)
-            assert canonical_key(refs[-1]) == key
+            assert compact_key(refs[-1]) == key
 
 
 class TestDeterminism:
@@ -1001,13 +1011,48 @@ class TestGoldenCertificates:
         assert_ends_agree(text)
 
 
+class TestRecords:
+    def test_records_pop_in_size_seq_order(self, rng):
+        # A record's header is fixed-width and big-endian, so records
+        # compare as bytes in (size, seq) order, whatever their keys,
+        # also once seq or size needs more than one byte.
+        run = vknots.search._BestFirst(SearchBudget(), (parse_gauss(TREFOIL),))
+        heap, queued = [], []
+        for _ in range(2000):
+            size = rng.choice([0, 1, 7, 255, 256, 70_000])
+            run.seq = rng.randrange(1 << rng.choice([8, 16, 40, 62]))
+            key = bytes(rng.randrange(256) for _ in range(rng.randrange(12)))
+            queued.append((size, run.seq))
+            run.queue(heap, size, (run.seq - 1, rng.randrange(1 << 20)), 0, key)
+        header = vknots.search._HEADER
+        popped = [header.unpack_from(heapq.heappop(heap))[:2] for _ in queued]
+        assert popped == sorted(queued)
+
+    def test_partition_tag_never_equals_a_key(self):
+        # A tag opens with a 2, below every endpoint int, and ends in a
+        # digit, while every key is empty or ends in a 0; tagged
+        # identities differ exactly when their keys or partitions do.
+        tag = vknots.search._partition_tag
+        keys = {_compact(code) for code in ["", "()", "();()", "L:", "L:();()",
+                                            TREFOIL, KISHINO, "O1+U2+;U1+O2+"]}
+        keys.add(_compact("".join(f"O{i}+U{i}+" for i in range(1, 65))))  # wide
+        partitions = [(0, 1), (0, 1, 0), (0, 0, 1), (0, 1, 1), tuple(range(12))]
+        assert tag((0,)) == tag((0, 0, 0)) == b""
+        for p in partitions:
+            assert tag(p)[0] == 2 and tag(p)[-1] in b"0123456789"
+        idents = {key + tag(p) for key in keys for p in partitions}
+        assert len(idents) == len(keys) * len(partitions)
+        assert not idents & keys
+        assert all(key == b"" or key[-1] == 0 for key in keys)
+
+
 class TestMemory:
     def test_trefoil_probe_peak_stays_small(self):
-        # The bound sits between the 2.09-2.23 MB this run peaks at when
-        # every queued state has a parent record and a 1-tuple of
-        # dominance vectors, and the 1.55-1.69 MB it peaks at when only
-        # popped states have records and a lone vector is stored bare
-        # (CPython 3.10-3.13).
+        # The bound sits between the 1.55-1.69 MB this run peaked at when
+        # a queued state was a 9-field tuple holding its text key, and
+        # the 1.08-1.14 MB it peaks at now that a queued state is one
+        # bytes record holding its compact key, with 25% headroom over
+        # each (CPython 3.10-3.13).
         budget = SearchBudget(
             max_crossings=7, max_components=4, max_saddles=2, max_births=2,
             max_deaths=2, max_nodes=5_000, max_depth=1_000_000,
@@ -1020,10 +1065,10 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert (out.status, out.nodes, out.dedup) == ("budget-hit", 24, 884)
-        assert peak < 1_850_000
+        assert peak < 1_450_000
 
     def test_parent_records_only_for_popped_states(self, monkeypatch):
-        # A queued state is one heap entry; its parent record is written
+        # A queued state is one record; its parent record is written
         # when it is popped, so a run keeps at most one per node.
         held = []
         outcome = vknots.search._BestFirst.outcome
