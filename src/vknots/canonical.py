@@ -13,17 +13,10 @@ table the applier core edits, before any diagram is built: besides the
 key it returns the winning component order, all the sliceness search
 needs to carry its surface-piece partition into canonical order.
 `canonicalize` adds the normalizing isomorphism onto the normal form
-the key renders (component permutation, per-component rotation, id
+the key encodes (component permutation, per-component rotation, id
 relabeling), which lets references be transported between diagrams sharing a key: the
 certificates layer carries every translated move through two of them,
 arcs through `map_arc` and `unmap_arc`.
-
-Only the public `canonical_key` is cached.  The certificates layer
-calls it a few times per certificate (twice to validate one, four more
-times to lift one onto a long knot), and its hits come from the same
-certificates, ends and goals being keyed again across calls; the
-searches key their children uncached, since almost none of them is ever
-looked up twice and a cache would only pin them in memory.
 
 The key is the least label-free encoding over (component order,
 rotation) candidates.  Each endpoint encodes as one int,
@@ -39,17 +32,24 @@ opening with its least first int are encoded.  When several full
 candidates tie (a symmetric diagram), the smallest (order, rotations)
 wins, so the iso is well defined.
 
-The winning segments have two writers.  `canonical_key` writes them as
-text by `diagram`'s Gauss-code writer, the one `render_gauss` uses, so
-a key is the relabeled render of the normal form.  `compact_key` writes
-the same segments as bytes, one byte per endpoint int, a 0 closing each
-component and a leading 1 marking a long diagram (a wider form, opened
-by a 3, once an int passes 255, beyond 63 crossings); `parse_compact`
-builds the diagram back from those bytes.  Two diagrams share a compact
-key exactly when they share a text key.  The searches hold their states
-by compact key, about a third of the text's length.  Every nonempty
-compact key ends in a 0, which is what lets a search append to it what
-else it keys a state by (see `search._partition_tag`).
+One writer, `_write_compact`, writes the winning segments as bytes:
+one byte per endpoint int, a 0 closing each component and a leading 1
+marking a long diagram (a wider form, opened by a 3, once an int passes
+255, beyond 63 crossings).  `parse_compact` builds the normal form back
+from those bytes, and `canonical_key` is only its display: the normal
+form rendered as Gauss-code text by `render_gauss` (`vknots canon`
+prints it).  Every nonempty key ends in a 0, which is what lets a
+search append to it what else it keys a state by (`_partition_tag`).
+
+Only `compact_key` is cached.  The certificates layer calls it a few
+times per certificate (twice to validate one, four more times to lift
+one onto a long knot), and its hits come from the same certificates,
+ends and goals being keyed again across calls: validating and
+transporting the bench's long certificates finds 94% of its calls in
+the cache.  The searches key their roots through it and their children
+uncached, by `_compact_key_and_order`, since almost none of the
+children is ever looked up twice and a cache would only pin them in
+memory.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import GaussDiagram, _write_gauss
+from .diagram import GaussDiagram, render_gauss
 
 
 @dataclass(frozen=True)
@@ -78,36 +78,32 @@ class Iso:
 
 @dataclass(frozen=True)
 class CanonicalResult:
-    key: str
+    key: bytes
     iso: Iso
 
 
 @lru_cache(maxsize=1 << 18)
-def canonical_key(d: GaussDiagram) -> str:
-    return _key_and_order(d.components, d._sign_map, d.long)[0]
-
-
-def _key_and_order(components, sign_map: dict, long: bool) -> tuple[str, tuple[int, ...]]:
-    """Canonical key of the diagram with these endpoint lists and sign
-    table, which need not be built (the searches key children this way),
-    plus the winning component order: order[i] is the source index of
-    canonical component i."""
-    order, _, _, segments = _best_candidate(components, sign_map, long)
-    return _write_gauss(segments, long), order
-
-
 def compact_key(d: GaussDiagram) -> bytes:
-    """The compact key of `d`: equal for two diagrams exactly when their
-    `canonical_key`s are."""
+    """The canonical key of `d`: equal for two diagrams exactly when
+    they agree after rotating, reordering and relabeling."""
     return _compact_key_and_order(d.components, d._sign_map, d.long)[0]
 
 
 def _compact_key_and_order(
     components, sign_map: dict, long: bool
 ) -> tuple[bytes, tuple[int, ...]]:
-    """`_key_and_order` with the compact key in place of the text one."""
+    """Compact key of the diagram with these endpoint lists and sign
+    table, which need not be built (the searches key children this way),
+    plus the winning component order: order[i] is the source index of
+    canonical component i."""
     order, _, _, segments = _best_candidate(components, sign_map, long)
     return _write_compact(segments, long), order
+
+
+def canonical_key(d: GaussDiagram) -> str:
+    """The canonical key as Gauss-code text: the render of the normal
+    form its compact key encodes."""
+    return render_gauss(parse_compact(compact_key(d)))
 
 
 def _write_compact(segments: list[list[int]], long: bool) -> bytes:
@@ -129,9 +125,19 @@ def _write_compact(segments: list[list[int]], long: bool) -> bytes:
         )
 
 
+def _partition_tag(classes: tuple[int, ...]) -> bytes:
+    """Dedup suffix for a nontrivial canonical partition: a 2, below any
+    endpoint int, then the classes in ASCII digits and commas.  A compact
+    key is empty or ends in a 0, so a tagged identity never equals a
+    key, and the last 2 of one opens its tag."""
+    if len(set(classes)) <= 1:
+        return b""
+    return b"\x02" + ",".join(map(str, classes)).encode()
+
+
 def parse_compact(key: bytes) -> GaussDiagram:
     """The diagram a compact key encodes, components in canonical order
-    and crossings numbered as in the key: `parse_gauss` of the text key."""
+    and crossings numbered as in the key."""
     if key[:1] == b"\x03":
         width, long = divmod(key[1], 2)
         ints = [int.from_bytes(key[i:i + width], "big") for i in range(2, len(key), width)]
@@ -160,7 +166,7 @@ def canonicalize(d: GaussDiagram) -> CanonicalResult:
         comp_perm[old_idx] = new_idx
         rotations[old_idx] = rots[new_idx]
     iso = Iso(tuple(comp_perm), tuple(rotations), tuple(sorted(ids.items())))
-    return CanonicalResult(_write_gauss(segments, d.long), iso)
+    return CanonicalResult(_write_compact(segments, d.long), iso)
 
 
 def _best_candidate(components, sign_map: dict, long: bool):

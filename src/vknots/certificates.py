@@ -1,8 +1,11 @@
 """Replayable cobordism certificates between Gauss diagrams.
 
 A certificate records a start diagram, an ordered move sequence, and the
-claimed end diagram.  Validation replays every step and checks the
-Euler-characteristic count rule for the claim:
+claimed end diagram.  Validation replays every step, checks that the
+replay ends at the claimed end up to isomorphism (the two share a
+`canonical.compact_key`, so the end may be written relabeled, rotated
+or with its components reordered), and checks the Euler-characteristic
+count rule for the claim:
 
     concordance   saddles = births + deaths, both ends one-component
     slice-disk    births + deaths - saddles = 1, end empty
@@ -29,7 +32,7 @@ every step exactly:
 the step is lifted onto the image of its reference diagram and pulled
 back onto the current diagram through the two normalizing isos of
 `canonicalize`, which meet in one normal form.  A step that then misses
-its expected canonical key raises CertificateError.
+the key of its reference step's image raises CertificateError.
 
 Text format, one move per line (blank lines and '#' comments ignored):
 
@@ -43,7 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import Iso, canonical_key, canonicalize, map_arc, unmap_arc
+from .canonical import Iso, canonicalize, compact_key, map_arc, unmap_arc
+from .canonical import canonical_key  # noqa: F401  (bench/tracer.py wraps it)
 from .diagram import (
     DiagramError, GaussDiagram, arc_of_slot, closure, parse_gauss, render_gauss,
     slot_of_arc,
@@ -208,7 +212,7 @@ def _validate(
         current = nxt
         if line is not None:
             line.append(nxt)
-    if canonical_key(current) != canonical_key(c.end):
+    if compact_key(current) != compact_key(c.end):
         return bad(
             f"replay ends at {render_gauss(current)}, "
             f"certificate claims {render_gauss(c.end)}"
@@ -270,9 +274,9 @@ def transport_closure_to_long(
     if not k.long:
         raise CertificateError("transport_closure_to_long needs a long diagram")
     refs = _concordance_line(c)
-    if canonical_key(c.start) != canonical_key(closure(k)):
+    if compact_key(c.start) != compact_key(closure(k)):
         raise CertificateError("certificate does not start at the closure of k")
-    if canonical_key(c.end) != canonical_key(parse_gauss("()")):
+    if compact_key(c.end) != compact_key(parse_gauss("()")):
         raise CertificateError("certificate does not end at the unknot")
 
     split = Move.of("saddle", c1=0, p=0, c2=0, q=len(k.components[0]))

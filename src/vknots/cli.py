@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from importlib import resources
 
-from .canonical import canonical_key
+from .canonical import canonical_key, compact_key
 from .certificates import (
     CertificateError,
     parse_certificate,
@@ -188,7 +188,7 @@ def _apply(args) -> int:
         return EXIT_INVALID_CERT
     for d in diagrams:
         print(render_gauss(d))
-    if canonical_key(diagrams[-1]) != canonical_key(cert.end):
+    if compact_key(diagrams[-1]) != compact_key(cert.end):
         print("vknots: invalid certificate: end mismatch", file=sys.stderr)
         return EXIT_INVALID_CERT
     return EXIT_OK

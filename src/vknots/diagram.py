@@ -10,10 +10,6 @@ Components of a round diagram are cyclic.  A long diagram has exactly one
 open component (the strand, always component 0, read left to right);
 further components are closed.  A chordless closed component is written
 ``()`` in the textual code; the empty string is the empty link.
-
-This module writes every Gauss code the package emits: `render_gauss`
-and the canonical keys of `canonical` both hand their components, as
-lists of endpoint ints, to one private writer.
 """
 
 from __future__ import annotations
@@ -237,38 +233,17 @@ def render_gauss(d: GaussDiagram, relabel: bool = True) -> str:
     """
     sign = d._sign_map
     ids: dict[int, int] = {}
-    return _write_gauss(
-        [
-            [
-                (ids.setdefault(cid, len(ids) + 1) if relabel else cid) * 4
-                + role * 2 + (sign[cid] > 0)
-                for cid, role in comp
-            ]
-            for comp in d.components
-        ],
-        d.long,
+    body = ";".join(
+        "".join(
+            ("O" if role == OVER else "U")
+            + str(ids.setdefault(cid, len(ids) + 1) if relabel else cid)
+            + ("+" if sign[cid] > 0 else "-")
+            for cid, role in comp
+        )
+        or "()"
+        for comp in d.components
     )
-
-
-class _Tokens(dict):
-    """Endpoint int -> its Gauss-code token, made on first use: a memo
-    of a pure function, four entries per crossing id ever written.  The
-    canonical keys and relabeled renders write ids 1.. only; a render
-    with relabel=False adds entries for the raw ids it writes."""
-
-    def __missing__(self, v: int) -> str:
-        tok = self[v] = ("U" if v & 2 else "O") + str(v >> 2) + ("+" if v & 1 else "-")
-        return tok
-
-
-_TOKENS = _Tokens()
-
-
-def _write_gauss(components: list[list[int]], long: bool) -> str:
-    """The Gauss code of components given as lists of endpoint ints,
-    id * 4 + role * 2 + (sign > 0)."""
-    body = ";".join("".join(map(_TOKENS.__getitem__, seg)) or "()" for seg in components)
-    if long:
+    if d.long:
         return "L:" if body == "()" else "L:" + body
     return body
 

@@ -19,13 +19,13 @@ budget to be reported).
 A child is never built as a `GaussDiagram` to be keyed: the applier
 core returns its endpoint lists and sign table, the endpoint check
 every diagram gets runs on those lists, and the child is keyed exactly
-once from them, uncached.  In every search a state *is* its compact
-key (`canonical.compact_key`, one byte per endpoint): the frontier,
-the dedup tables and the parent pointers hold compact keys, roots and
-goal included, so no search reaches the text `canonical_key` or its
-cache.  A diagram is built back from its key only when the state is
-popped for expansion (roots too; most admitted states never are) or
-lies on a found chain.  The one child diagram built is a reduction
+once from them, uncached.  In every search a state *is* its key
+(`canonical.compact_key`, one byte per endpoint): the frontier, the
+dedup tables and the parent pointers hold keys, roots and goal
+included, and only the roots pass through the key cache.  A diagram
+is built back from its key only when the state is popped for
+expansion (roots too; most admitted states never are) or lies on a
+found chain.  The one child diagram built is a reduction
 candidate no larger than the best seen, for its Carter genus.
 
 The engine keeps the parent pointers: a record (parent seq, move index,
@@ -93,7 +93,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .canonical import _compact_key_and_order, compact_key, parse_compact
+from .canonical import _compact_key_and_order, _partition_tag, compact_key, parse_compact
 from .canonical import canonical_key, canonicalize  # noqa: F401  (bench/tracer.py wraps them)
 from .certificates import CobordismCertificate, _translate_steps, advance_classes
 from .diagram import DiagramError, GaussDiagram, _check_endpoints, parse_gauss
@@ -149,16 +149,6 @@ class SearchOutcome:
 
 
 # -- the engine ----------------------------------------------------------
-
-
-def _partition_tag(classes: tuple[int, ...]) -> bytes:
-    """Dedup suffix for a nontrivial canonical partition: a 2, below any
-    endpoint int, then the classes in ASCII digits and commas.  A compact
-    key is empty or ends in a 0, so a tagged identity never equals a
-    key, and the last 2 of one opens its tag."""
-    if len(set(classes)) <= 1:
-        return b""
-    return b"\x02" + ",".join(map(str, classes)).encode()
 
 
 _COST = {"saddle": (1, 0, 0), "birth": (0, 1, 0), "death": (0, 0, 1)}

@@ -57,15 +57,15 @@ def reference_slice_states(d, budget: SearchBudget):
             labels, closed = advance_classes(classes, m, diag)
             if closed:
                 continue
-            result = canonicalize(child)
+            key = canonical_key(child)
             canon = [0] * len(labels)  # labels moved into canonical order
-            for old, new in enumerate(result.iso.comp_perm):
+            for old, new in enumerate(canonicalize(child).iso.comp_perm):
                 canon[new] = labels[old]
             first: dict[int, int] = {}
             partition = tuple(first.setdefault(x, len(first)) for x in canon)
-            state = (result.key, partition, tuple(child_spent))
+            state = (key, partition, tuple(child_spent))
             s, b, dd = state[2]
-            found |= result.key == goal and s == b + dd
+            found |= key == goal and s == b + dd
             if state not in states:
                 states.add(state)
                 todo.append(state)

@@ -15,7 +15,6 @@ from vknots import (
 )
 from vknots.canonical import (
     _compact_key_and_order,
-    _key_and_order,
     compact_key,
     map_arc,
     parse_compact,
@@ -122,21 +121,26 @@ class TestKey:
         assert canonical_key(parse_gauss("")) == ""
 
 
+def _normal_form(d: GaussDiagram, iso) -> GaussDiagram:
+    """`d` carried through its normalizing iso: components permuted and
+    rotated, crossings relabeled."""
+    ids = dict(iso.id_map)
+    comps = [()] * d.n_components
+    for i, seq in enumerate(d.components):
+        r = iso.rotations[i]
+        comps[iso.comp_perm[i]] = tuple((ids[cid], role) for cid, role in seq[r:] + seq[:r])
+    signs = tuple(sorted((ids[cid], s) for cid, s in d.signs))
+    return GaussDiagram(tuple(comps), signs, d.long)
+
+
 class TestIso:
     def test_normal_form_renders_key(self, rng):
         for _ in range(150):
             d = random_diagram(rng)
             res = canonicalize(d)
-            iso, ids = res.iso, dict(res.iso.id_map)
-            comps = [()] * d.n_components
-            for i, seq in enumerate(d.components):
-                r = iso.rotations[i]
-                comps[iso.comp_perm[i]] = tuple(
-                    (ids[cid], role) for cid, role in seq[r:] + seq[:r]
-                )
-            signs = tuple(sorted((ids[cid], s) for cid, s in d.signs))
-            normal = GaussDiagram(tuple(comps), signs, d.long)
-            assert render_gauss(normal, relabel=False) == res.key
+            normal = _normal_form(d, res.iso)
+            assert parse_compact(res.key) == normal
+            assert render_gauss(normal, relabel=False) == canonical_key(d)
 
     def test_arc_round_trip(self, rng):
         for _ in range(150):
@@ -163,11 +167,16 @@ def _pinned_corpus():
         yield from (apply_move(d, m) for m in enumerate_moves(d) if m.kind != "r2_insert")
 
 
+def _text(key: bytes) -> str:
+    """The Gauss-code text of a compact key, as `canonical_key` writes it."""
+    return render_gauss(parse_compact(key))
+
+
 class TestPinnedOutputs:
-    # sha256 of _key_and_order, canonicalize's key and its iso, on
-    # `_pinned_corpus`; captured before the encoder was rewritten, so
-    # the keys, the winning component orders and the isos stay as they
-    # were.
+    # sha256 of the text key and the winning order, canonicalize's text
+    # key and its iso, on `_pinned_corpus`; captured before the encoder
+    # was rewritten, so the keys, the winning component orders and the
+    # isos stay as they were.
     CANONICAL_SHA256 = "13e133f54d68b346c5716864abf2b2c400b17be74e2597e640a9406c995cc542"
 
     def test_canonical_outputs_are_pinned(self):
@@ -175,8 +184,11 @@ class TestPinnedOutputs:
         count = 0
         for x in _pinned_corpus():
             res = canonicalize(x)
-            keyed = _key_and_order(x.components, x._sign_map, x.long)
-            h.update(repr((keyed, res.key, res.iso)).encode() + b"\n")
+            key, order = _compact_key_and_order(x.components, x._sign_map, x.long)
+            text = _text(key)
+            keyed = (text, order)
+            res_text = text if res.key == key else _text(res.key)
+            h.update(repr((keyed, res_text, res.iso)).encode() + b"\n")
             count += 1
         assert count > 100_000
         assert h.hexdigest() == self.CANONICAL_SHA256
@@ -187,24 +199,24 @@ WIDE = "".join(f"O{i}+U{i}+" for i in range(1, 65))
 
 
 class TestCompactKey:
-    def test_agrees_with_text_key_over_pinned_corpus(self):
-        # The compact writer renders the same winning candidate as the
-        # text one, so it comes with the same order, decodes to the
-        # parse of the text key, and two diagrams share a compact key
-        # exactly when they share a text key.
-        compact_of: dict[str, bytes] = {}
-        text_of: dict[bytes, str] = {}
+    def test_encodes_the_normal_form_over_pinned_corpus(self):
+        # The key is canonicalize's, comes with the inverse of its
+        # component permutation as the order, decodes to the normal form
+        # its iso builds, and two diagrams share a key exactly when they
+        # share a normal form.
+        key_of: dict[GaussDiagram, bytes] = {}
+        normal_of: dict[bytes, GaussDiagram] = {}
         for x in _pinned_corpus():
-            text, order = _key_and_order(x.components, x._sign_map, x.long)
-            compact, compact_order = _compact_key_and_order(
-                x.components, x._sign_map, x.long
-            )
-            assert compact_order == order
-            if text not in compact_of:
-                assert parse_compact(compact) == parse_gauss(text)
-            assert compact_of.setdefault(text, compact) == compact
-            assert text_of.setdefault(compact, text) == text
-        assert len(compact_of) > 10_000
+            res = canonicalize(x)
+            key, order = _compact_key_and_order(x.components, x._sign_map, x.long)
+            assert key == res.key
+            assert order == tuple(map(res.iso.comp_perm.index, range(x.n_components)))
+            normal = _normal_form(x, res.iso)
+            if key not in normal_of:
+                assert parse_compact(key) == normal
+            assert key_of.setdefault(normal, key) == key
+            assert normal_of.setdefault(key, normal) == normal
+        assert len(key_of) > 10_000
 
     def test_special_forms(self):
         codes = ["", "()", "();()", "L:", "L:();()"]
@@ -221,7 +233,7 @@ class TestCompactKey:
             d = parse_gauss(code)
             key = compact_key(d)
             assert key[0] == 3 and key[1] == 2 * 2 + d.long
-            assert parse_compact(key) == parse_gauss(canonical_key(d))
+            assert parse_compact(key) == _normal_form(d, canonicalize(d).iso)
             assert compact_key(scrambled(d, rng)) == key
         assert compact_key(parse_gauss(WIDE)) != compact_key(parse_gauss("L:" + WIDE))
         flipped = parse_gauss(WIDE.replace("O64+U64+", "O64-U64-"))

@@ -173,6 +173,23 @@ class TestValidate:
         assert not report.ok
         assert "replay ends" in report.failure
 
+    def test_end_matches_up_to_isomorphism(self):
+        # The claimed end may be written relabeled, rotated and with its
+        # components reordered: the replay's own ends are
+        # O1+U2+O3+O4-U4-U1+O2+U3+ and U3-O4+O3-U4+;O1+U2-U1+O2-.
+        kinked = f"start: {TREFOIL}\nr1+ c=0 pos=2 sign=- order=OU\n" \
+                 "end: O20-U20-U7+O3+U12+O7+U3+O12+\n"
+        cert = parse_certificate(kinked)
+        assert cert.end != replay(cert)[-1]
+        assert validate_certificate(cert, "concordance").ok
+        split = f"start: {KISHINO}\nsaddle c1=0 p=3 c2=0 q=7\n" \
+                "end: U42-U17+O42-O17+;O5-U9+U5-O9+\n"
+        cert = parse_certificate(split)
+        assert cert.end != replay(cert)[-1]
+        # the end matches, so validation goes on to the count rule
+        report = validate_certificate(cert, "concordance")
+        assert report.failure == "count rule s=b+d violated: s=1 b=0 d=0"
+
     def test_illegal_step_rejected(self):
         text = KISHINO_CONCORDANCE.replace("r2- a=3 b=4", "r1- x=9")
         report = validate_certificate(parse_certificate(text), "concordance")

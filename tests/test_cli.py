@@ -86,6 +86,30 @@ class TestCertificates:
         assert len(lines) == 5  # the start diagram plus one line per move
         assert lines[0] == KISHINO
 
+    def test_apply_end_mismatch_exit_2(self, tmp_path):
+        p = tmp_path / "c.cert"
+        p.write_text(KISHINO_CERT.replace("end: ()", f"end: {TREFOIL}"))
+        r = run("apply", str(p))
+        assert r.returncode == 2
+        assert len(r.stdout.splitlines()) == 5
+        assert r.stderr == "vknots: invalid certificate: end mismatch\n"
+
+    def test_end_up_to_isomorphism_exit_0(self, tmp_path):
+        # Each end is written relabeled and rotated, the second with its
+        # components reordered too, unlike the diagram the replay reaches.
+        kinked = tmp_path / "kinked.cert"
+        kinked.write_text(f"start: {TREFOIL}\nr1+ c=0 pos=2 sign=- order=OU\n"
+                          "end: O20-U20-U7+O3+U12+O7+U3+O12+\n")
+        split = tmp_path / "split.cert"
+        split.write_text(f"start: {KISHINO}\nsaddle c1=0 p=3 c2=0 q=7\n"
+                         "end: U42-U17+O42-O17+;O5-U9+U5-O9+\n")
+        r = run("validate", "--claim", "concordance", str(kinked))
+        assert (r.returncode, r.stdout) == (0, "valid=yes verdict=concordance s=0 b=0 d=0\n")
+        for p in (kinked, split):
+            r = run("apply", str(p))
+            assert (r.returncode, r.stderr) == (0, "")
+            assert len(r.stdout.splitlines()) == 2
+
     def test_validate_ok(self, tmp_path):
         p = tmp_path / "c.cert"
         p.write_text(KISHINO_CERT)

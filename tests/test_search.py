@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import vknots.canonical
 import vknots.moves
 import vknots.search
 from vknots import (
@@ -385,9 +386,9 @@ class TestReduce:
 
 class TestCaches:
     def test_searches_leave_canonical_key_cache_small(self):
-        # The searches hold compact keys, roots and goal included, and
-        # key them uncached, so none of them reaches the cache.
-        canonical_key.cache_clear()
+        # The searches key their roots through the cache and every child
+        # uncached, so the three runs leave at most their 4 roots there.
+        compact_key.cache_clear()
         search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
         search_equivalent(
             parse_gauss("O1+U1+O2-U2-"), parse_gauss("()"), SearchBudget.small()
@@ -397,7 +398,7 @@ class TestCaches:
             SearchBudget(max_crossings=5, max_components=2, max_nodes=500,
                          max_depth=4),
         )
-        assert canonical_key.cache_info().currsize == 0
+        assert compact_key.cache_info().currsize <= 4
 
 
 def _counters(out):
@@ -1032,7 +1033,7 @@ class TestRecords:
         # A tag opens with a 2, below every endpoint int, and ends in a
         # digit, while every key is empty or ends in a 0; tagged
         # identities differ exactly when their keys or partitions do.
-        tag = vknots.search._partition_tag
+        tag = vknots.canonical._partition_tag
         keys = {_compact(code) for code in ["", "()", "();()", "L:", "L:();()",
                                             TREFOIL, KISHINO, "O1+U2+;U1+O2+"]}
         keys.add(_compact("".join(f"O{i}+U{i}+" for i in range(1, 65))))  # wide
