@@ -14,9 +14,9 @@ key it returns the winning component order, all the sliceness search
 needs to carry its surface-piece partition into canonical order.
 `canonicalize` adds the normalizing isomorphism onto the normal form
 the key encodes (component permutation, per-component rotation, id
-relabeling), which lets references be transported between diagrams sharing a key: the
-certificates layer carries every translated move through two of them,
-arcs through `map_arc` and `unmap_arc`.
+relabeling), which lets references be transported between diagrams
+sharing a key: the certificates layer carries every translated move
+through two of them (`certificates._pull_back`).
 
 The key is the least label-free encoding over (component order,
 rotation) candidates.  Each endpoint encodes as one int,
@@ -230,18 +230,4 @@ def _segment(seq, ids: dict) -> tuple[list[int], dict]:
     `ids` extended by this component's new ids."""
     ids = ids.copy()
     return [ids.setdefault(cid, len(ids) + 1) * 4 + bits for cid, bits in seq], ids
-
-
-def map_arc(iso: Iso, d: GaussDiagram, comp: int, arc: int) -> tuple[int, int]:
-    """Transport an arc reference of `d` through its normalizing iso.
-
-    Returns (canonical component index, canonical arc index).
-    """
-    return iso.comp_perm[comp], (arc - iso.rotations[comp]) % d.arc_count(comp)
-
-
-def unmap_arc(iso: Iso, d: GaussDiagram, new_comp: int, new_arc: int) -> tuple[int, int]:
-    """Inverse of map_arc: canonical arc reference back to `d` coordinates."""
-    comp = iso.comp_perm.index(new_comp)
-    return comp, (new_arc + iso.rotations[comp]) % d.arc_count(comp)
 

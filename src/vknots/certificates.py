@@ -1,8 +1,10 @@
 """Replayable cobordism certificates between Gauss diagrams.
 
 A certificate records a start diagram, an ordered move sequence, and the
-claimed end diagram.  Validation replays every step, checks that the
-replay ends at the claimed end up to isomorphism (the two share a
+claimed end diagram.  `replay` is the one loop that applies a
+certificate's steps; it raises MoveError naming the first step that does
+not apply.  Validation takes the line of diagrams it returns, checks
+that it ends at the claimed end up to isomorphism (the two share a
 `canonical.compact_key`, so the end may be written relabeled, rotated
 or with its components reordered), and checks the Euler-characteristic
 count rule for the claim:
@@ -24,15 +26,16 @@ closure: closing the strand reuses the same moves with strand gap i
 becoming closed arc i-1, while the reverse direction first splits the
 closure off the strand with one saddle, replays the round certificate on
 that component (component indices shifted past the empty strand), and
-caps the resulting circle with a death.  Each replays its input once:
-the replay that validates it keeps its diagrams, and they are the
-reference line the steps are carried along.  Both transports, and the
-searches when they rebuild a found path on their input diagram, carry
-every step exactly:
-the step is lifted onto the image of its reference diagram and pulled
-back onto the current diagram through the two normalizing isos of
-`canonicalize`, which meet in one normal form.  A step that then misses
-the key of its reference step's image raises CertificateError.
+caps the resulting circle with a death.  Each replays its input once,
+checks that line as `validate_certificate` does, and maps it into the
+target setting: closed, or placed behind an empty strand with every
+step's components shifted past it.  `_translate_steps` then carries the
+mapped line onto the diagram the output actually starts from, as the
+searches do when they rebuild a found path on their input diagram:
+each step is pulled back onto the current diagram through the two
+normalizing isos of `canonicalize`, which meet in one normal form, and
+a step that then misses the key of the line's next diagram raises
+CertificateError.
 
 Text format, one move per line (blank lines and '#' comments ignored):
 
@@ -44,9 +47,10 @@ Text format, one move per line (blank lines and '#' comments ignored):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .canonical import Iso, canonicalize, compact_key, map_arc, unmap_arc
+from .canonical import Iso, canonicalize, compact_key
 from .canonical import canonical_key  # noqa: F401  (bench/tracer.py wraps it)
 from .diagram import (
     DiagramError, GaussDiagram, arc_of_slot, closure, parse_gauss, render_gauss,
@@ -136,11 +140,15 @@ def render_certificate(c: CobordismCertificate) -> str:
 def replay(c: CobordismCertificate) -> list[GaussDiagram]:
     """All intermediate diagrams of the certificate, start included.
 
-    Raises MoveError at the first inapplicable step.
+    Raises MoveError at the first inapplicable step, naming it:
+    `step i (<move>): <reason>`.
     """
     out = [c.start]
-    for m in c.steps:
-        out.append(apply_move(out[-1], m))
+    for i, m in enumerate(c.steps):
+        try:
+            out.append(apply_move(out[-1], m))
+        except MoveError as err:
+            raise MoveError(f"step {i + 1} ({render_move(m)}): {err}") from None
     return out
 
 
@@ -183,64 +191,58 @@ def advance_classes(
 
 
 def validate_certificate(c: CobordismCertificate, claim: str) -> ValidationReport:
-    """Replay `c`, holding one diagram at a time, and check `claim`."""
-    return _validate(c, claim, None)
-
-
-def _validate(
-    c: CobordismCertificate, claim: str, line: list[GaussDiagram] | None
-) -> ValidationReport:
-    """`validate_certificate`; with `line`, each diagram the replay
-    reaches is appended to it."""
+    """Replay `c` and check `claim` over the line of diagrams it reaches."""
     if claim not in CLAIMS:
         raise CertificateError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
+    try:
+        failure = _broken_rule(c, claim, replay(c))
+    except MoveError as err:
+        failure = str(err)
     s, b, d = c.counters()
+    if failure:
+        return ValidationReport(False, "invalid", failure, s, b, d)
+    return ValidationReport(True, claim, None, s, b, d)
 
-    def bad(reason: str) -> ValidationReport:
-        return ValidationReport(False, "invalid", reason, s, b, d)
 
-    current = c.start
+def _broken_rule(
+    c: CobordismCertificate, claim: str, line: list[GaussDiagram]
+) -> str | None:
+    """Why `line`, the replay of `c`, does not establish `claim`; None
+    if it does."""
     classes = initial_classes(c.start)
     closures = 0
-    for i, m in enumerate(c.steps):
-        try:
-            nxt = apply_move(current, m)
-        except MoveError as err:
-            return bad(f"step {i + 1} ({render_move(m)}): {err}")
-        classes, closed = advance_classes(classes, m, current)
+    for m, prev in zip(c.steps, line):
+        classes, closed = advance_classes(classes, m, prev)
         closures += closed
-        current = nxt
-        if line is not None:
-            line.append(nxt)
-    if compact_key(current) != compact_key(c.end):
-        return bad(
-            f"replay ends at {render_gauss(current)}, "
+    s, b, d = c.counters()
+    if compact_key(line[-1]) != compact_key(c.end):
+        return (
+            f"replay ends at {render_gauss(line[-1])}, "
             f"certificate claims {render_gauss(c.end)}"
         )
-
     if claim == "concordance":
         if s != b + d:
-            return bad(f"count rule s=b+d violated: s={s} b={b} d={d}")
+            return f"count rule s=b+d violated: s={s} b={b} d={d}"
         if c.start.n_components != 1:
-            return bad("concordance start is not a one-component knot")
+            return "concordance start is not a one-component knot"
         if c.end.n_components != 1:
-            return bad("concordance end is not a one-component knot")
+            return "concordance end is not a one-component knot"
         if closures:
-            return bad(
+            return (
                 "cobordism surface disconnects: a death caps off an "
                 "isolated piece, so the movie is not an annulus"
             )
     else:  # slice-disk
         if b + d - s != 1:
-            return bad(f"count rule b+d-s=1 violated: s={s} b={b} d={d}")
+            return f"count rule b+d-s=1 violated: s={s} b={b} d={d}"
         if c.end.n_components != 0:
-            return bad("slice-disk end is not the empty diagram")
+            return "slice-disk end is not the empty diagram"
         if closures != 1:
-            return bad(
+            return (
                 f"slice disk must close with exactly one final cap; "
                 f"the movie closes {closures} pieces"
             )
-    return ValidationReport(True, claim, None, s, b, d)
+    return None
 
 
 # -- certificate transports between a long knot and its closure ----------
@@ -255,10 +257,12 @@ def transport_long_to_closure(c: CobordismCertificate) -> CobordismCertificate:
     """
     if not c.start.long or not c.end.long:
         raise CertificateError("transport_long_to_closure needs a long certificate")
-    refs = _concordance_line(c)
-    act_start = closure(c.start)
-    steps = _translate_steps(refs, c.steps, act_start, closure, _close_move)
-    return CobordismCertificate(act_start, tuple(steps), closure(c.end))
+    line = _concordance_line(c)
+    refs = [closure(r) for r in line]
+    steps = _translate_steps(
+        refs, [_close_move(m, r) for m, r in zip(c.steps, line)], refs[0]
+    )
+    return CobordismCertificate(refs[0], tuple(steps), closure(c.end))
 
 
 def transport_closure_to_long(
@@ -281,10 +285,12 @@ def transport_closure_to_long(
 
     split = Move.of("saddle", c1=0, p=0, c2=0, q=len(k.components[0]))
     # An empty strand, k's closed components, then the split-off closure
-    # circle: the round certificate's diagrams behind an empty strand.
-    act_start = apply_move(k, split)
+    # circle: the round certificate's line behind an empty strand, each
+    # step's components shifted past it.
     steps = _translate_steps(
-        refs, c.steps, act_start, _behind_empty_strand, _shift_components
+        [GaussDiagram(((),) + r.components, r.signs, True) for r in refs],
+        [relabel_move(m, comp=lambda c: c + 1) for m in c.steps],
+        apply_move(k, split),
     )
     # After the round certificate the unknot circle remains next to the
     # empty strand; cap it.
@@ -297,20 +303,14 @@ def transport_closure_to_long(
 def _concordance_line(c: CobordismCertificate) -> list[GaussDiagram]:
     """The replay line of `c`, start included, which the one replay
     that validates `c` as a concordance keeps."""
-    line = [c.start]
-    report = _validate(c, "concordance", line)
-    if not report.ok:
-        raise CertificateError(f"input certificate invalid: {report.failure}")
+    try:
+        line = replay(c)
+        failure = _broken_rule(c, "concordance", line)
+    except MoveError as err:
+        failure = str(err)
+    if failure:
+        raise CertificateError(f"input certificate invalid: {failure}")
     return line
-
-
-def _behind_empty_strand(ref: GaussDiagram) -> GaussDiagram:
-    return GaussDiagram(((),) + ref.components, ref.signs, True)
-
-
-def _shift_components(m: Move, ref: GaussDiagram) -> Move:
-    """Lift a move of a round diagram onto `_behind_empty_strand(ref)`."""
-    return relabel_move(m, comp=lambda c: c + 1)
 
 
 def _close_move(m: Move, ref: GaussDiagram) -> Move:
@@ -334,30 +334,22 @@ def _close_move(m: Move, ref: GaussDiagram) -> Move:
 
 
 def _translate_steps(
-    refs: list[GaussDiagram],
-    steps: tuple[Move, ...],
-    act: GaussDiagram,
-    image=lambda ref: ref,
-    lift=lambda m, ref: m,
+    refs: list[GaussDiagram], steps: Sequence[Move], act: GaussDiagram
 ) -> list[Move]:
-    """Re-express a move sequence on a parallel replay line.
+    """Carry a replay line onto an isomorphic start.
 
-    `refs` are the diagrams of the reference replay, `steps[i]` taking
-    `refs[i]` to `refs[i + 1]`; `act` must have the canonical key of
-    `image(refs[0])`.  Each step is lifted onto the image diagram by
-    `lift(step, ref)` and then pulled back exactly onto the current
-    diagram through the two normalizing isos, which meet in one normal
-    form: `canonicalize(image(ref))` and `canonicalize(act)`.  The
-    translated step must reach the key of `image(refs[i + 1])`; a miss
-    raises CertificateError.
+    `refs` are the diagrams of the line, `steps[i]` taking `refs[i]` to
+    `refs[i + 1]`; `act` must have the canonical key of `refs[0]`.  Each
+    step is pulled back exactly onto the current diagram through the two
+    normalizing isos, which meet in one normal form: `canonicalize` of
+    its reference and of the current diagram.  The carried step must
+    reach the key of `refs[i + 1]`; a miss raises CertificateError.
     """
-    src = image(refs[0])
-    src_canon, act_canon = canonicalize(src), canonicalize(act)
+    src_canon, act_canon = canonicalize(refs[0]), canonicalize(act)
     out: list[Move] = []
     for i, m in enumerate(steps):
-        nxt_src = image(refs[i + 1])
-        nxt_canon = canonicalize(nxt_src)
-        moved = _pull_back(lift(m, refs[i]), src, src_canon.iso, act, act_canon.iso)
+        nxt_canon = canonicalize(refs[i + 1])
+        moved = _pull_back(m, refs[i], src_canon.iso, act_canon.iso)
         try:
             nxt = apply_move(act, moved)
             act_canon = canonicalize(nxt)
@@ -366,16 +358,16 @@ def _translate_steps(
         if nxt is None or act_canon.key != nxt_canon.key:
             raise CertificateError(f"cannot transport step {i + 1} ({render_move(m)})")
         out.append(moved)
-        src, src_canon, act = nxt_src, nxt_canon, nxt
+        src_canon, act = nxt_canon, nxt
     return out
 
 
-def _pull_back(
-    m: Move, src: GaussDiagram, src_iso: Iso, dst: GaussDiagram, dst_iso: Iso
-) -> Move:
-    """Carry a move of `src` onto `dst`, a diagram with the same normal
-    form: crossing ids through the composed id maps, components through
-    the component permutations, arcs through map_arc/unmap_arc."""
+def _pull_back(m: Move, src: GaussDiagram, src_iso: Iso, dst_iso: Iso) -> Move:
+    """Carry a move of `src` onto a diagram with the same normal form,
+    normalized by `dst_iso`: crossing ids through the composed id maps,
+    components through the component permutations, and an arc of
+    component c through c's rotation onto the normal form and back by
+    the rotation of its image."""
     to_dst = {canon: own for own, canon in dst_iso.id_map}
     ids = {own: to_dst[canon] for own, canon in src_iso.id_map}
 
@@ -383,7 +375,8 @@ def _pull_back(
         return dst_iso.comp_perm.index(src_iso.comp_perm[c])
 
     def arc(c: int, a: int) -> int:
-        return unmap_arc(dst_iso, dst, *map_arc(src_iso, src, c, a))[1]
+        arcs = src.arc_count(c)
+        return (a - src_iso.rotations[c] + dst_iso.rotations[comp(c)]) % arcs
 
     moved = relabel_move(m, ids=ids, comp=comp, arc=arc)
     if m.kind == "r2_insert" and m["c1"] == m["c2"]:

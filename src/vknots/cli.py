@@ -17,6 +17,7 @@ from importlib import resources
 
 from .canonical import canonical_key, compact_key
 from .certificates import (
+    CLAIMS,
     CertificateError,
     parse_certificate,
     render_certificate,
@@ -44,7 +45,6 @@ EXIT_INVALID_CERT = 2
 EXIT_USAGE = 3
 EXIT_INTERRUPTED = 130
 
-CLAIMS = ("concordance", "slice-disk")
 # search-slice's caps by default: one saddle and one death, enough to
 # slice a knot the way the bundled Kishino certificate does
 SLICE_BUDGET = SearchBudget(max_saddles=1, max_deaths=1)

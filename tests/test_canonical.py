@@ -13,13 +13,8 @@ from vknots import (
     parse_gauss,
     render_gauss,
 )
-from vknots.canonical import (
-    _compact_key_and_order,
-    compact_key,
-    map_arc,
-    parse_compact,
-    unmap_arc,
-)
+from vknots.canonical import _compact_key_and_order, compact_key, parse_compact
+from vknots.certificates import _pull_back
 
 from .conftest import CORPUS, KISHINO, random_diagram, scrambled
 
@@ -142,15 +137,21 @@ class TestIso:
             assert parse_compact(res.key) == normal
             assert render_gauss(normal, relabel=False) == canonical_key(d)
 
-    def test_arc_round_trip(self, rng):
+    def test_pull_back_onto_itself_is_identity(self, rng):
+        # Every reference of a move (crossing ids, components, arcs and an
+        # r2 insertion's q on a rotated component) goes to the normal form
+        # and back through the same iso.
+        turned = 0
         for _ in range(150):
             d = random_diagram(rng)
-            res = canonicalize(d)
-            for comp in range(d.n_components):
-                arcs = d.arc_count(comp)
-                for arc in range(arcs):
-                    nc, na = map_arc(res.iso, d, comp, arc)
-                    assert unmap_arc(res.iso, d, nc, na) == (comp, arc)
+            iso = canonicalize(d).iso
+            for m in enumerate_moves(d):
+                assert _pull_back(m, d, iso, iso) == m
+                turned += (
+                    m.kind == "r2_insert" and m["c1"] == m["c2"]
+                    and d.cyclic(m["c1"]) and iso.rotations[m["c1"]] > 0
+                )
+        assert turned
 
 
 def _pinned_corpus():

@@ -27,14 +27,12 @@ from vknots import (
     validate_certificate,
 )
 from vknots.certificates import (
-    _behind_empty_strand,
     _close_move,
-    _shift_components,
     _translate_steps,
     advance_classes,
     initial_classes,
 )
-from vknots.moves import ALL_KINDS
+from vknots.moves import ALL_KINDS, relabel_move
 
 from .conftest import KISHINO, SRC, TREFOIL, random_diagram, random_walk, scrambled
 from .oracles import assert_ends_agree
@@ -317,9 +315,8 @@ class TestTransports:
             assert canonical_key(lifted.end) == canonical_key(parse_gauss("L:"))
         # The lift onto the round diagram behind the empty strand shifts
         # components, never crossing ids: r3's c names a crossing.
-        ref = parse_gauss("O1+O2+U3+U1+O3+U2+;()")
-        assert _shift_components(parse_move("r3 a=1 b=2 c=3"), ref)["c"] == 3
-        assert _shift_components(parse_move("death c=1"), ref)["c"] == 2
+        for text, shifted in (("r3 a=1 b=2 c=3", 3), ("death c=1", 2)):
+            assert relabel_move(parse_move(text), comp=lambda c: c + 1)["c"] == shifted
 
     @pytest.mark.parametrize(
         "refused,reason",
@@ -427,18 +424,24 @@ class TestTransports:
         assert calls == 2 * len(closed.steps) + 1
 
 
-# (image, lift) pairs: the search's own replay line, closing the strand,
-# and a round diagram placed behind an empty strand.
+# (image, lift) pairs, the maps a caller applies to a replay line before
+# carrying it: the search's own line, closing the strand, and a round
+# diagram placed behind an empty strand.
 PLAIN = (lambda ref: ref, lambda m, ref: m)
 CLOSE = (closure, _close_move)
-STRAND = (_behind_empty_strand, _shift_components)
+STRAND = (
+    lambda ref: GaussDiagram(((),) + ref.components, ref.signs, True),
+    lambda m, ref: relabel_move(m, comp=lambda c: c + 1),
+)
 
 
 class TestExactTransport:
     """Every step is carried exactly through the normalizing isos."""
 
     def _translates(self, d, m, act, lift=PLAIN):
-        (moved,) = _translate_steps([d, apply_move(d, m)], (m,), act, *lift)
+        image, lift_move = lift
+        refs = [image(d), image(apply_move(d, m))]
+        (moved,) = _translate_steps(refs, (lift_move(m, d),), act)
         return moved
 
     def test_every_move_onto_scrambled_copies(self):

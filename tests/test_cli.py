@@ -1,5 +1,6 @@
 """The vknots command-line interface: output records and exit codes."""
 
+import ast
 import os
 import random
 import re
@@ -93,6 +94,19 @@ class TestCertificates:
         assert r.returncode == 2
         assert len(r.stdout.splitlines()) == 5
         assert r.stderr == "vknots: invalid certificate: end mismatch\n"
+
+    def test_apply_names_the_failing_step(self, tmp_path):
+        # apply and validate report an inapplicable step in the same words
+        p = tmp_path / "c.cert"
+        p.write_text(f"start: {TREFOIL}\nr1- x=1\nend: ()\n")
+        failure = ("step 1 (r1- x=1): endpoints of crossing 1 are not adjacent; "
+                   "not an r1 kink")
+        r = run("apply", str(p))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"vknots: invalid certificate: {failure}\n"
+        r = run("validate", "--claim", "concordance", str(p))
+        assert r.returncode == 2
+        assert ast.literal_eval(r.stdout.split("failure=", 1)[1]) == failure
 
     def test_end_up_to_isomorphism_exit_0(self, tmp_path):
         # Each end is written relabeled and rotated, the second with its
@@ -415,11 +429,15 @@ class TestDemo:
         assert r.stdout.splitlines()[-1] == "valid=yes verdict=slice-disk s=1 b=0 d=2"
 
     def test_console_script_installed(self, installed_env):
-        r = subprocess.run(
-            ["vknots", "parse", "O1+U1+"],
-            capture_output=True,
-            text=True,
-            env=installed_env,
-        )
+        def installed(*args):
+            return subprocess.run(
+                ["vknots", *args], capture_output=True, text=True, env=installed_env
+            )
+
+        r = installed("parse", "O1+U1+")
         assert r.returncode == 0
         assert r.stdout.strip() == "O1+U1+"
+        # the demo reads the certificates the installed copy ships as data
+        r = installed("demo", "kishino")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "valid=yes verdict=concordance s=1 b=0 d=1"
