@@ -16,7 +16,8 @@ needs to carry its surface-piece partition into canonical order.
 the key encodes (component permutation, per-component rotation, id
 relabeling), which lets references be transported between diagrams
 sharing a key: the certificates layer carries every translated move
-through two of them (`certificates._pull_back`).
+through two of them (`certificates._pull_back`, which hands the
+composed maps to `moves.carry_move`).
 
 The key is the least label-free encoding over (component order,
 rotation) candidates.  Each endpoint encodes as one int,

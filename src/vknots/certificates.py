@@ -28,14 +28,15 @@ closure off the strand with one saddle, replays the round certificate on
 that component (component indices shifted past the empty strand), and
 caps the resulting circle with a death.  Each replays its input once,
 checks that line as `validate_certificate` does, and maps it into the
-target setting: closed, or placed behind an empty strand with every
-step's components shifted past it.  `_translate_steps` then carries the
-mapped line onto the diagram the output actually starts from, as the
-searches do when they rebuild a found path on their input diagram:
+target setting: closed, or placed behind an empty strand, each step
+carried along by `moves.carry_move`.  `_translate_steps` then carries
+the mapped line onto the diagram the output actually starts from, as
+the searches do when they rebuild a found path on their input diagram:
 each step is pulled back onto the current diagram through the two
-normalizing isos of `canonicalize`, which meet in one normal form, and
-a step that then misses the key of the line's next diagram raises
-CertificateError.
+normalizing isos of `canonicalize`, which meet in one normal form, by
+the same `carry_move`, and a step that then misses the key of the
+line's next diagram raises CertificateError.  No move kind is special
+here: `carry_move` alone knows where an r2_insert's q lands.
 
 Text format, one move per line (blank lines and '#' comments ignored):
 
@@ -52,11 +53,8 @@ from dataclasses import dataclass
 
 from .canonical import Iso, canonicalize, compact_key
 from .canonical import canonical_key  # noqa: F401  (bench/tracer.py wraps it)
-from .diagram import (
-    DiagramError, GaussDiagram, arc_of_slot, closure, parse_gauss, render_gauss,
-    slot_of_arc,
-)
-from .moves import Move, MoveError, apply_move, parse_move, relabel_move, render_move
+from .diagram import DiagramError, GaussDiagram, closure, parse_gauss, render_gauss
+from .moves import KINDS, Move, MoveError, apply_move, carry_move, parse_move, render_move
 from .moves import enumerate_moves  # noqa: F401  (bench/tracer.py wraps it)
 
 CLAIMS = ("concordance", "slice-disk")
@@ -73,9 +71,9 @@ class CobordismCertificate:
     end: GaussDiagram
 
     def counters(self) -> tuple[int, int, int]:
-        """Numbers of saddles, births and deaths."""
-        kinds = [m.kind for m in self.steps]
-        return kinds.count("saddle"), kinds.count("birth"), kinds.count("death")
+        """Numbers of saddles, births and deaths: the steps' summed costs."""
+        costs = [KINDS[m.kind].cost for m in self.steps]
+        return tuple(map(sum, zip((0, 0, 0), *costs)))
 
 
 @dataclass(frozen=True)
@@ -141,14 +139,17 @@ def replay(c: CobordismCertificate) -> list[GaussDiagram]:
     """All intermediate diagrams of the certificate, start included.
 
     Raises MoveError at the first inapplicable step, naming it:
-    `step i (<move>): <reason>`.
+    `step i (<move>): <reason>`; its `replayed` holds the diagrams
+    reached before that step.
     """
     out = [c.start]
     for i, m in enumerate(c.steps):
         try:
             out.append(apply_move(out[-1], m))
         except MoveError as err:
-            raise MoveError(f"step {i + 1} ({render_move(m)}): {err}") from None
+            failed = MoveError(f"step {i + 1} ({render_move(m)}): {err}")
+            failed.replayed = out
+            raise failed from None
     return out
 
 
@@ -260,7 +261,7 @@ def transport_long_to_closure(c: CobordismCertificate) -> CobordismCertificate:
     line = _concordance_line(c)
     refs = [closure(r) for r in line]
     steps = _translate_steps(
-        refs, [_close_move(m, r) for m, r in zip(c.steps, line)], refs[0]
+        refs, [carry_move(m, r, closed=True) for m, r in zip(c.steps, line)], refs[0]
     )
     return CobordismCertificate(refs[0], tuple(steps), closure(c.end))
 
@@ -289,7 +290,7 @@ def transport_closure_to_long(
     # step's components shifted past it.
     steps = _translate_steps(
         [GaussDiagram(((),) + r.components, r.signs, True) for r in refs],
-        [relabel_move(m, comp=lambda c: c + 1) for m in c.steps],
+        [carry_move(m, r, comp=range(1, r.n_components + 1)) for m, r in zip(c.steps, refs)],
         apply_move(k, split),
     )
     # After the round certificate the unknot circle remains next to the
@@ -311,26 +312,6 @@ def _concordance_line(c: CobordismCertificate) -> list[GaussDiagram]:
     if failure:
         raise CertificateError(f"input certificate invalid: {failure}")
     return line
-
-
-def _close_move(m: Move, ref: GaussDiagram) -> Move:
-    """Lift a move of a long diagram onto its closure: strand gap i (the
-    gap before endpoint i) becomes the closed arc with the same insertion
-    slot, arc i-1 from endpoint i-1 to endpoint i; crossing ids and
-    component indices are unchanged."""
-    k = len(ref.components[0])
-
-    def arc(c: int, a: int) -> int:
-        return arc_of_slot(k, True, a) if c == 0 else a
-
-    moved = relabel_move(m, arc=arc)
-    if m.kind == "r2_insert" and m["c1"] == m["c2"] == 0:
-        # q indexes the strand with the over pair in place.  At gap 0 the
-        # pair opens the strand but ends the closed list, which turns the
-        # closed intermediate by two more endpoints.
-        q = arc_of_slot(k + 2, True, m["q"] - (2 if m["p"] == 0 else 0))
-        moved = Move.of(m.kind, **dict(moved.params, q=q))
-    return moved
 
 
 def _translate_steps(
@@ -365,31 +346,10 @@ def _translate_steps(
 def _pull_back(m: Move, src: GaussDiagram, src_iso: Iso, dst_iso: Iso) -> Move:
     """Carry a move of `src` onto a diagram with the same normal form,
     normalized by `dst_iso`: crossing ids through the composed id maps,
-    components through the component permutations, and an arc of
-    component c through c's rotation onto the normal form and back by
-    the rotation of its image."""
+    components through the component permutations, and each component
+    turned by its rotation onto the normal form less that of its image."""
     to_dst = {canon: own for own, canon in dst_iso.id_map}
     ids = {own: to_dst[canon] for own, canon in src_iso.id_map}
-
-    def comp(c: int) -> int:
-        return dst_iso.comp_perm.index(src_iso.comp_perm[c])
-
-    def arc(c: int, a: int) -> int:
-        arcs = src.arc_count(c)
-        return (a - src_iso.rotations[c] + dst_iso.rotations[comp(c)]) % arcs
-
-    moved = relabel_move(m, ids=ids, comp=comp, arc=arc)
-    if m.kind == "r2_insert" and m["c1"] == m["c2"]:
-        c, q = m["c1"], m["q"]
-        k = len(src.components[c])
-        if src.cyclic(c) and k:
-            # q indexes the component with the over pair in place: its
-            # normalizing rotation r turns by 2 more when the pair lands
-            # at a slot at or before r.
-            def turn(r: int, p: int) -> int:
-                return r + 2 if slot_of_arc(k, True, p) <= r else r
-
-            q -= turn(src_iso.rotations[c], m["p"])
-            q = (q + turn(dst_iso.rotations[comp(c)], moved["p"])) % (k + 2)
-        moved = Move.of(m.kind, **dict(moved.params, q=q))
-    return moved
+    comp = [dst_iso.comp_perm.index(i) for i in src_iso.comp_perm]
+    rot = [r - dst_iso.rotations[comp[c]] for c, r in enumerate(src_iso.rotations)]
+    return carry_move(m, src, ids, comp, rot)

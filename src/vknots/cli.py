@@ -181,15 +181,17 @@ def _canon(args) -> int:
 
 def _apply(args) -> int:
     cert = parse_certificate(_read(args.cert))
+    failure = None
     try:
         diagrams = replay(cert)
     except MoveError as err:
-        print(f"vknots: invalid certificate: {err}", file=sys.stderr)
-        return EXIT_INVALID_CERT
+        diagrams, failure = err.replayed, err
     for d in diagrams:
         print(render_gauss(d))
-    if compact_key(diagrams[-1]) != compact_key(cert.end):
-        print("vknots: invalid certificate: end mismatch", file=sys.stderr)
+    if failure is None and compact_key(diagrams[-1]) != compact_key(cert.end):
+        failure = "end mismatch"
+    if failure is not None:
+        print(f"vknots: invalid certificate: {failure}", file=sys.stderr)
         return EXIT_INVALID_CERT
     return EXIT_OK
 

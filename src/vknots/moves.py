@@ -23,9 +23,11 @@ them to `_apply_core`, so the appliers do not find the pattern again;
 a move from anywhere else, such as certificate text, has its tables
 built from the diagram when its handler needs them.
 
-`PARAMS` lists each kind's parameters in text order and the role of
-each (a crossing id, a component, an arc, a sign or an endpoint order);
-`parse_move`, `render_move` and `relabel_move` all read them there.
+`KINDS` gives each kind one row, in listing order: its text, its
+parameters in text order with the role of each (a crossing id, a
+component, an arc, a sign or an endpoint order), its applier, its lister
+and its (saddles, births, deaths) cost.  `parse_move`, `render_move`,
+`carry_move` and the enumeration all read the rows.
 
 Virtual and mixed moves act as the identity on Gauss diagrams and have
 no move kind; planar isotopy likewise.
@@ -35,7 +37,10 @@ of `diagram` (`GaussDiagram.cyclic`, `n_arcs`, `slot_of_arc`,
 `arc_of_slot`, `read_after`).  For r2_insert the over pair is inserted
 first and the under-arc index q refers to the diagram with the over pair
 already present (this only matters when both pairs land on one
-component).
+component).  Besides the r2 appliers and lister, only `carry_move`
+knows that frame: it carries a move onto a relabeled, rotated or closed
+copy of its diagram, every arc through its insertion slot, and such a q
+over the k + 2 endpoints with the over pair in place.
 
 All moves are applied functionally: the input diagram is unchanged, and
 `apply_move_with_inverse` also returns the exact inverse move, so that
@@ -61,7 +66,7 @@ to that index and stops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .diagram import (
     OVER,
@@ -74,43 +79,11 @@ from .diagram import (
     slot_of_arc,
 )
 
-# Each kind's parameters in text order, with the role of each:
-#   id     a crossing id
-#   comp   a component index
-#   arc    an arc of the component named just before it
-#   sign   the sign of a new crossing, written + or - (default +)
-#   order  OU or UO: which endpoint of a new crossing comes first
-PARAMS = {
-    "r1_delete": (("x", "id"),),
-    "r1_insert": (("c", "comp"), ("pos", "arc"), ("sign", "sign"), ("order", "order")),
-    "r2_delete": (("a", "id"), ("b", "id")),
-    "r2_insert": (
-        ("c1", "comp"), ("p", "arc"), ("c2", "comp"), ("q", "arc"),
-        ("sign", "sign"), ("order", "order"),
-    ),
-    "r3": (("a", "id"), ("b", "id"), ("c", "id")),
-    "saddle": (("c1", "comp"), ("p", "arc"), ("c2", "comp"), ("q", "arc")),
-    "birth": (),
-    "death": (("c", "comp"),),
-}
-ALL_KINDS = frozenset(PARAMS)
-_ROLES = {kind: dict(spec) for kind, spec in PARAMS.items()}
-
-_KIND_TO_TEXT = {
-    "r1_delete": "r1-",
-    "r1_insert": "r1+",
-    "r2_delete": "r2-",
-    "r2_insert": "r2+",
-    "r3": "r3",
-    "saddle": "saddle",
-    "birth": "birth",
-    "death": "death",
-}
-_TEXT_TO_KIND = {v: k for k, v in _KIND_TO_TEXT.items()}
-
-
 class MoveError(ValueError):
-    """Move is malformed or not applicable to the given diagram."""
+    """Move is malformed or not applicable to the given diagram.
+
+    `certificates.replay` sets `replayed` on the error it raises: the
+    diagrams it reached before the failing step."""
 
 
 @dataclass(frozen=True)
@@ -126,13 +99,14 @@ class Move:
         for key, value in self.params:
             if key == name:
                 return value
-        raise KeyError(name)
+        raise MoveError(f"{self.kind} move has no parameter {name!r}")
 
     @staticmethod
     def of(kind: str, /, **params) -> "Move":
-        roles = _ROLES.get(kind)
-        if roles is None:
+        row = KINDS.get(kind)
+        if row is None:
             raise MoveError(f"unknown move kind {kind!r}")
+        roles = row.params
         if params.keys() != roles.keys():
             raise MoveError(
                 f"{kind} takes parameters {tuple(roles)}, got {sorted(params)}"
@@ -141,13 +115,13 @@ class Move:
 
 
 def parse_move(line: str) -> Move:
-    parts = line.split()
-    if not parts or parts[0] not in _TEXT_TO_KIND:
+    head, *items = line.split() or [""]
+    kind = next((k for k, row in KINDS.items() if row.text == head), None)
+    if kind is None:
         raise MoveError(f"unrecognized move line {line!r}")
-    kind = _TEXT_TO_KIND[parts[0]]
-    roles = _ROLES[kind]
+    roles = KINDS[kind].params
     params: dict[str, object] = {}
-    for item in parts[1:]:
+    for item in items:
         key, eq, value = item.partition("=")
         if not eq:
             raise MoveError(f"bad parameter {item!r} in {line!r}")
@@ -171,8 +145,9 @@ def parse_move(line: str) -> Move:
 
 
 def render_move(m: Move) -> str:
-    roles = _ROLES[m.kind]
-    out = [_KIND_TO_TEXT[m.kind]]
+    row = KINDS[m.kind]
+    roles = row.params
+    out = [row.text]
     for key, value in m.params:
         if roles.get(key) == "sign":
             value = "+" if value > 0 else "-"
@@ -180,24 +155,40 @@ def render_move(m: Move) -> str:
     return " ".join(out)
 
 
-def relabel_move(m: Move, ids=None, comp=None, arc=None) -> Move:
-    """The same move with its parameters mapped by role: crossing ids
-    through the mapping `ids`, components through `comp(c)`, and each arc
-    through `arc(c, a)`, c being the (unmapped) component named just
-    before it.  A map left None keeps its parameters."""
-    roles = _ROLES[m.kind]
+def carry_move(
+    m: Move, src: GaussDiagram, ids=None, comp=None, rot=None, closed: bool = False
+) -> Move:
+    """The move `m` of `src`, carried onto a relabeled copy of `src`:
+    crossing ids through the mapping `ids`, component c onto `comp[c]`
+    with its endpoint list turned by `rot[c]` (the copy reads it from
+    endpoint rot[c] on), and with `closed` the strand closed up.  A map
+    left None is the identity.
+
+    An arc is carried through its insertion slot: a turn by r moves the
+    slot back by r, and on the strand the slot stays.  A same-component
+    r2_insert's q counts the k + 2 endpoints with the over pair in place,
+    so it is carried the same way, that list being turned by the pair's
+    slot before the carry less its slot after."""
+    roles = KINDS[m.kind].params
+    poke = m.kind == "r2_insert" and m["c1"] == m["c2"]
     out = []
     c = None
     for key, value in m.params:
         role = roles.get(key)
-        if role == "comp":
+        if role == "id" and ids is not None:
+            value = ids[value]
+        elif role == "comp":
             c = value
             if comp is not None:
-                value = comp(value)
-        elif role == "arc" and arc is not None:
-            value = arc(c, value)
-        elif role == "id" and ids is not None:
-            value = ids[value]
+                value = comp[c]
+        elif role == "arc":
+            k, cyclic = len(src.components[c]), src.cyclic(c)
+            r = rot[c] if rot else 0
+            if poke and key == "q":
+                k, r = k + 2, s_p - t_p
+            slot = slot_of_arc(k, cyclic, value)
+            value = arc_of_slot(k, cyclic or closed, slot - r)
+            s_p, t_p = slot, slot_of_arc(k, cyclic or closed, value)
         out.append((key, value))
     return Move(m.kind, tuple(out))
 
@@ -231,7 +222,7 @@ def _apply_core(
     builds its own from `d`."""
     comps = [list(c) for c in d.components]
     signs = dict(d._sign_map)
-    return comps, signs, _HANDLERS[m.kind](d, m, comps, signs, tables)
+    return comps, signs, KINDS[m.kind].applier(d, m, comps, signs, tables)
 
 
 def _build(comps: list, signs: dict, long: bool) -> GaussDiagram:
@@ -621,83 +612,35 @@ def _apply_death(d: GaussDiagram, m: Move, comps: list, signs: dict, tables) -> 
     return "birth", {}
 
 
-_HANDLERS = {
-    "r1_delete": _apply_r1_delete,
-    "r1_insert": _apply_r1_insert,
-    "r2_delete": _apply_r2_delete,
-    "r2_insert": _apply_r2_insert,
-    "r3": _apply_r3,
-    "saddle": _apply_saddle,
-    "birth": _apply_birth,
-    "death": _apply_death,
-}
-
-
 # -- enumeration ---------------------------------------------------------
+#
+# Each lister takes the diagram and its site tables and yields the
+# applicable moves of its kind.
 
 
-def enumerate_moves(
-    d: GaussDiagram,
-    kinds: Iterable[str] = ALL_KINDS,
-    tables: _SiteTables | None = None,
-) -> list[Move]:
-    """All applicable moves of the requested kinds, deletions first: the
-    list of `_iter_moves`, in its order."""
-    return list(_iter_moves(d, kinds, tables))
+def _enum_r1_delete(d: GaussDiagram, tables: _SiteTables) -> Iterator[Move]:
+    for x in sorted(tables.kinks()):
+        yield Move.of("r1_delete", x=x)
 
 
-def _iter_moves(
-    d: GaussDiagram,
-    kinds: Iterable[str] = ALL_KINDS,
-    tables: _SiteTables | None = None,
-) -> Iterator[Move]:
-    """Each applicable move of the requested kinds, built as it is drawn.
-
-    The order is: r1/r2 deletions, r3, insertions, cobordism moves, so a
-    consumer that expands in order is biased toward simplification, and
-    one that wants the move at an index stops drawing there.  The r1-,
-    r2- and r3 moves are read off the site tables of `d`; a caller that
-    applies them hands the same `tables` to `_apply_core`, so their
-    appliers read them there too.
-    """
-    kinds = set(kinds)
-    unknown = kinds - ALL_KINDS
-    if unknown:
-        raise MoveError(f"unknown move kinds {sorted(unknown)}")
-    tables = tables or _SiteTables(d)
-    if "r1_delete" in kinds:
-        for x in sorted(tables.kinks()):
-            yield Move.of("r1_delete", x=x)
-    if "r2_delete" in kinds:
-        yield from _enum_r2_delete(d, tables.pairs())
-    if "r3" in kinds:
-        for a, b, c in tables.triangles():
-            yield Move.of("r3", a=a, b=b, c=c)
-    if "r1_insert" in kinds:
-        yield from _enum_r1_insert(d)
-    if "r2_insert" in kinds:
-        yield from _enum_r2_insert(d)
-    if "saddle" in kinds:
-        yield from _enum_saddle(d)
-    if "birth" in kinds:
-        yield Move.of("birth")
-    if "death" in kinds:
-        yield from _enum_death(d)
-
-
-def _enum_r2_delete(d: GaussDiagram, pairs: tuple[dict, dict]) -> Iterator[Move]:
-    over, under = pairs
+def _enum_r2_delete(d: GaussDiagram, tables: _SiteTables) -> Iterator[Move]:
+    over, under = tables.pairs()
     found = {(min(k), max(k)) for k in over if k in under or k[::-1] in under}
     for a, b in sorted(found):
         if d.sign_of(a) == -d.sign_of(b):
             yield Move.of("r2_delete", a=a, b=b)
 
 
+def _enum_r3(d: GaussDiagram, tables: _SiteTables) -> Iterator[Move]:
+    for a, b, c in tables.triangles():
+        yield Move.of("r3", a=a, b=b, c=c)
+
+
 def _all_arcs(d: GaussDiagram) -> list[tuple[int, int]]:
     return [(c, arc) for c in range(d.n_components) for arc in range(d.arc_count(c))]
 
 
-def _enum_r1_insert(d: GaussDiagram) -> Iterator[Move]:
+def _enum_r1_insert(d: GaussDiagram, tables: _SiteTables) -> Iterator[Move]:
     for c, arc in _all_arcs(d):
         for sign in (1, -1):
             for order in ("OU", "UO"):
@@ -707,7 +650,7 @@ def _enum_r1_insert(d: GaussDiagram) -> Iterator[Move]:
                 )
 
 
-def _enum_r2_insert(d: GaussDiagram) -> Iterator[Move]:
+def _enum_r2_insert(d: GaussDiagram, tables: _SiteTables) -> Iterator[Move]:
     # q indexes arcs of the intermediate diagram (over pair inserted);
     # the arc between the two new over endpoints is excluded.
     for c1, p in _all_arcs(d):
@@ -734,7 +677,7 @@ def _enum_r2_insert(d: GaussDiagram) -> Iterator[Move]:
                         )
 
 
-def _enum_saddle(d: GaussDiagram) -> Iterator[Move]:
+def _enum_saddle(d: GaussDiagram, tables: _SiteTables) -> Iterator[Move]:
     arcs = _all_arcs(d)
     for i, (c1, p) in enumerate(arcs):
         # Same-arc saddles (i itself) just bud off a chordless circle;
@@ -743,8 +686,91 @@ def _enum_saddle(d: GaussDiagram) -> Iterator[Move]:
             yield Move("saddle", (("c1", c1), ("p", p), ("c2", c2), ("q", q)))
 
 
-def _enum_death(d: GaussDiagram) -> Iterator[Move]:
+def _enum_birth(d: GaussDiagram, tables: _SiteTables) -> Iterator[Move]:
+    yield Move.of("birth")
+
+
+def _enum_death(d: GaussDiagram, tables: _SiteTables) -> Iterator[Move]:
     start = 1 if d.long else 0
     for c in range(start, d.n_components):
         if not d.components[c]:
             yield Move.of("death", c=c)
+
+
+# -- the move kinds ------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    text: str
+    params: dict[str, str]  # name -> role, in text order
+    applier: Callable[..., _Inverse]
+    lister: Callable[[GaussDiagram, _SiteTables], Iterator[Move]]
+    cost: tuple[int, int, int] = (0, 0, 0)  # (saddles, births, deaths)
+
+
+# Every kind, in listing order: r1/r2 deletions, r3, insertions,
+# cobordism moves, so a consumer that expands in order is biased toward
+# simplification.  The parameter roles:
+#   id     a crossing id
+#   comp   a component index
+#   arc    an arc of the component named just before it
+#   sign   the sign of a new crossing, written + or - (default +)
+#   order  OU or UO: which endpoint of a new crossing comes first
+KINDS = {
+    "r1_delete": Kind("r1-", {"x": "id"}, _apply_r1_delete, _enum_r1_delete),
+    "r2_delete": Kind("r2-", {"a": "id", "b": "id"}, _apply_r2_delete, _enum_r2_delete),
+    "r3": Kind("r3", {"a": "id", "b": "id", "c": "id"}, _apply_r3, _enum_r3),
+    "r1_insert": Kind(
+        "r1+",
+        {"c": "comp", "pos": "arc", "sign": "sign", "order": "order"},
+        _apply_r1_insert,
+        _enum_r1_insert,
+    ),
+    "r2_insert": Kind(
+        "r2+",
+        {"c1": "comp", "p": "arc", "c2": "comp", "q": "arc", "sign": "sign", "order": "order"},
+        _apply_r2_insert,
+        _enum_r2_insert,
+    ),
+    "saddle": Kind(
+        "saddle",
+        {"c1": "comp", "p": "arc", "c2": "comp", "q": "arc"},
+        _apply_saddle,
+        _enum_saddle,
+        (1, 0, 0),
+    ),
+    "birth": Kind("birth", {}, _apply_birth, _enum_birth, (0, 1, 0)),
+    "death": Kind("death", {"c": "comp"}, _apply_death, _enum_death, (0, 0, 1)),
+}
+ALL_KINDS = frozenset(KINDS)
+
+
+def enumerate_moves(
+    d: GaussDiagram,
+    kinds: Iterable[str] = ALL_KINDS,
+    tables: _SiteTables | None = None,
+) -> list[Move]:
+    """All applicable moves of the requested kinds, deletions first: the
+    list of `_iter_moves`, in its order."""
+    return list(_iter_moves(d, kinds, tables))
+
+
+def _iter_moves(
+    d: GaussDiagram,
+    kinds: Iterable[str] = ALL_KINDS,
+    tables: _SiteTables | None = None,
+) -> Iterator[Move]:
+    """Each applicable move of the requested kinds, built as it is drawn,
+    in the order of `KINDS`, so one that wants the move at an index
+    stops drawing there.  The r1-, r2- and r3 moves are read off the
+    site tables of `d`; a caller that applies them hands the same
+    `tables` to `_apply_core`, so their appliers read them there too.
+    """
+    kinds = set(kinds)
+    unknown = kinds - ALL_KINDS
+    if unknown:
+        raise MoveError(f"unknown move kinds {sorted(unknown)}")
+    tables = tables or _SiteTables(d)
+    for kind, row in KINDS.items():
+        if kind in kinds:
+            yield from row.lister(d, tables)

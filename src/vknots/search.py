@@ -99,6 +99,7 @@ from .certificates import CobordismCertificate, _translate_steps, advance_classe
 from .diagram import DiagramError, GaussDiagram, _check_endpoints, parse_gauss
 from .moves import (
     ALL_KINDS,
+    KINDS,
     Move,
     _apply_core,
     _build,
@@ -151,14 +152,11 @@ class SearchOutcome:
 # -- the engine ----------------------------------------------------------
 
 
-_COST = {"saddle": (1, 0, 0), "birth": (0, 1, 0), "death": (0, 0, 1)}
-
-
 def _spend(spent: tuple[int, int, int], kind: str) -> tuple[int, int, int]:
     """The cobordism counters after a move of `kind`: the same tuple
-    after an R-move."""
-    cost = _COST.get(kind)
-    return spent if cost is None else tuple(x + y for x, y in zip(spent, cost))
+    after an R-move, which costs nothing."""
+    cost = KINDS[kind].cost
+    return tuple(x + y for x, y in zip(spent, cost)) if any(cost) else spent
 
 
 # The size classes of R-moves, each with the growth in crossings of its
@@ -448,7 +446,7 @@ class _BestFirst:
         tables = _SiteTables(diag)
         for i, m in enumerate(enumerate_moves(diag, kinds=kinds, tables=tables)):
             labels = state_labels
-            if m.kind in _COST:
+            if any(KINDS[m.kind].cost):
                 labels, closed = advance_classes(state_labels, m, diag)
                 if closed or len(labels) > self.cap_c:
                     continue

@@ -10,6 +10,7 @@ from vknots import (
     CobordismCertificate,
     DiagramError,
     GaussDiagram,
+    Move,
     SearchBudget,
     apply_move,
     canonical_key,
@@ -26,13 +27,8 @@ from vknots import (
     transport_long_to_closure,
     validate_certificate,
 )
-from vknots.certificates import (
-    _close_move,
-    _translate_steps,
-    advance_classes,
-    initial_classes,
-)
-from vknots.moves import ALL_KINDS, relabel_move
+from vknots.certificates import _translate_steps, advance_classes, initial_classes
+from vknots.moves import ALL_KINDS, carry_move
 
 from .conftest import KISHINO, SRC, TREFOIL, random_diagram, random_walk, scrambled
 from .oracles import assert_ends_agree
@@ -193,6 +189,12 @@ class TestValidate:
         report = validate_certificate(parse_certificate(text), "concordance")
         assert not report.ok
         assert "step" in report.failure
+        # a step built without its parameter is refused the same way
+        cert = CobordismCertificate(
+            parse_gauss("O1+U1+"), (Move("r1_delete"),), parse_gauss("()")
+        )
+        report = validate_certificate(cert, "concordance")
+        assert report.failure == "step 1 (r1-): r1_delete move has no parameter 'x'"
 
     def test_multicomponent_end_rejected(self):
         text = f"start: {KISHINO}\nsaddle c1=0 p=3 c2=0 q=7\nbirth\n" \
@@ -315,8 +317,9 @@ class TestTransports:
             assert canonical_key(lifted.end) == canonical_key(parse_gauss("L:"))
         # The lift onto the round diagram behind the empty strand shifts
         # components, never crossing ids: r3's c names a crossing.
+        two_circles = parse_gauss("();()")
         for text, shifted in (("r3 a=1 b=2 c=3", 3), ("death c=1", 2)):
-            assert relabel_move(parse_move(text), comp=lambda c: c + 1)["c"] == shifted
+            assert carry_move(parse_move(text), two_circles, comp=[1, 2])["c"] == shifted
 
     @pytest.mark.parametrize(
         "refused,reason",
@@ -428,10 +431,10 @@ class TestTransports:
 # carrying it: the search's own line, closing the strand, and a round
 # diagram placed behind an empty strand.
 PLAIN = (lambda ref: ref, lambda m, ref: m)
-CLOSE = (closure, _close_move)
+CLOSE = (closure, lambda m, ref: carry_move(m, ref, closed=True))
 STRAND = (
     lambda ref: GaussDiagram(((),) + ref.components, ref.signs, True),
-    lambda m, ref: relabel_move(m, comp=lambda c: c + 1),
+    lambda m, ref: carry_move(m, ref, comp=range(1, ref.n_components + 1)),
 )
 
 

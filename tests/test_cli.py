@@ -102,11 +102,19 @@ class TestCertificates:
         failure = ("step 1 (r1- x=1): endpoints of crossing 1 are not adjacent; "
                    "not an r1 kink")
         r = run("apply", str(p))
-        assert (r.returncode, r.stdout) == (2, "")
+        assert (r.returncode, r.stdout) == (2, run("parse", TREFOIL).stdout)
         assert r.stderr == f"vknots: invalid certificate: {failure}\n"
         r = run("validate", "--claim", "concordance", str(p))
         assert r.returncode == 2
         assert ast.literal_eval(r.stdout.split("failure=", 1)[1]) == failure
+        # every diagram replayed before the failing step is printed first
+        good, bad = tmp_path / "good.cert", tmp_path / "bad.cert"
+        good.write_text(KISHINO_CERT)
+        bad.write_text(KISHINO_CERT.replace("r2- a=1 b=2", "r1- x=9"))
+        r, ok = run("apply", str(bad)), run("apply", str(good))
+        assert r.returncode == 2
+        assert r.stdout == "".join(ok.stdout.splitlines(keepends=True)[:3])
+        assert r.stderr == "vknots: invalid certificate: step 3 (r1- x=9): no crossing 9\n"
 
     def test_end_up_to_isomorphism_exit_0(self, tmp_path):
         # Each end is written relabeled and rotated, the second with its

@@ -123,6 +123,11 @@ class TestApply:
             ("O1+O2-U2-U3+O4+U1+O3+U4+", "r3 a=1 b=2 c=4", "do not form an r3 triangle"),
             ("L:O1+U1+", "death c=0", "open strand"),
             ("O1+U1+", None, "unknown move kinds"),  # enumerating kind r4
+            # a move built without its parameter, as no parsed move is
+            pytest.param(
+                "O1+U1+", Move("r1_delete"), "r1_delete move has no parameter 'x'",
+                id="missing-parameter",
+            ),
         ],
     )
     def test_refused(self, code, move, reason):
@@ -131,7 +136,7 @@ class TestApply:
             if move is None:
                 list(enumerate_moves(d, kinds={"r4"}))
             else:
-                apply_move(d, parse_move(move))
+                apply_move(d, move if isinstance(move, Move) else parse_move(move))
 
     def test_r2_insert_wraps_round_a_chordless_circle(self):
         # The under pair lands right after the first over endpoint, but

@@ -760,14 +760,16 @@ class TestChildKeying:
         assert built <= out.nodes + 2 * len(out.certificate.steps)
 
     def test_child_endpoints_are_checked(self, monkeypatch):
-        kink = vknots.moves._HANDLERS["r1_insert"]
+        row = vknots.moves.KINDS["r1_insert"]
 
         def drop_endpoint(d, m, comps, signs, tables):
-            inv = kink(d, m, comps, signs, tables)
+            inv = row.applier(d, m, comps, signs, tables)
             comps[m["c"]].pop()
             return inv
 
-        monkeypatch.setitem(vknots.moves._HANDLERS, "r1_insert", drop_endpoint)
+        monkeypatch.setitem(
+            vknots.moves.KINDS, "r1_insert", row._replace(applier=drop_endpoint)
+        )
         with pytest.raises(DiagramError):
             search_slice(parse_gauss(KISHINO), KISHINO_BUDGET)
 
